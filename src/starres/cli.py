@@ -43,6 +43,19 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise ArgumentError(f"could not parse {what} {text!r}") from exc
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low, so no check runs empty."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
     points = []
     for chunk in text.split(","):
@@ -226,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wahl = sub.add_parser("wahl", help="degree-one Veronese presentation and checks")
     add_common(p_wahl, with_x=False)
-    p_wahl.add_argument("--max-degree", type=int, default=12)
+    p_wahl.add_argument("--max-degree", type=_at_least(1), default=12)
     p_wahl.set_defaults(func=_cmd_wahl)
 
     p_dom = sub.add_parser("domestic", help="Dynkin-triple classification")
@@ -236,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run all oracle cross-checks")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--rmax", type=int, default=40)
-    p_sweep.add_argument("--count", type=int, default=50)
-    p_sweep.add_argument("--lmax", type=int, default=8)
+    p_sweep.add_argument("--rmax", type=_at_least(2), default=40)
+    p_sweep.add_argument("--count", type=_at_least(1), default=50)
+    p_sweep.add_argument("--lmax", type=_at_least(1), default=8)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import ParameterError, PreconditionError
 from .lgroup import LElement, Parameters
@@ -281,29 +281,42 @@ def full_subspace(piece: GradedPiece) -> Subspace:
     return Subspace(piece, rows)
 
 
+def _product_rows(params: Parameters, y: LElement, z: LElement) -> list[list[int]]:
+    """Integer coordinate rows spanning the product of the pieces of degrees y and z.
+
+    Every pairwise basis product is a t-shift of the single reduced product
+    of the two arm monomials, a nonzero binary form, so the distinct shifts
+    are linearly independent and span the product inside the piece of
+    degree y + z.  The form is scaled to integers once; each shift is a row.
+    """
+    a, b = y.c_coeff, z.c_coeff
+    if a < 0 or b < 0:
+        return []
+    dim = graded_dim(params, y + z)
+    core = RingElement.from_monomial(
+        params, 1, arms=tuple(s + t for s, t in zip(y.arms, z.arms))
+    ).terms
+    scale = lcm(*[c.denominator for c in core.values()])
+    form = [(key[0], c.numerator * (scale // c.denominator)) for key, c in core.items()]
+    rows = []
+    for sigma in range(a + b + 1):
+        vec = [0] * dim
+        for e0, c in form:
+            vec[e0 + sigma] = c
+        rows.append(vec)
+    return rows
+
+
 def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:
     """Span of all pairwise basis products of two pieces inside their sum.
 
-    Every pairwise product is a t-shift of the single reduced product of the
-    two arm monomials, so only the distinct shifts are materialized; the span
-    is the same.
+    The spanning rows are the t-shifts of one integer binary form
+    (``_product_rows``); ``rref`` certifies full rank modulo 2^61 - 1 when
+    it can and otherwise reduces them exactly.
     """
     from .linalg import rref
 
-    target = graded_basis(params, y + z)
-    a, b = y.c_coeff, z.c_coeff
-    if a < 0 or b < 0:
-        return zero_subspace(target)
-    core = RingElement.from_monomial(
-        params, 1, arms=tuple(s + t for s, t in zip(y.arms, z.arms))
-    )
-    rows = []
-    for sigma in range(a + b + 1):
-        vec = [Fraction(0)] * target.dim
-        for (e0, _e1, _arms), coef in core.terms.items():
-            vec[e0 + sigma] += coef
-        rows.append(vec)
-    return Subspace(target, rref(rows))
+    return Subspace(graded_basis(params, y + z), rref(_product_rows(params, y, z)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -290,8 +290,11 @@ def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
     Every 2x2 minor of the matrix must vanish after substituting the
     generator monomials, and for each N <= max_degree the words of degree N
     in the generators must span the whole graded piece, whose dimension is
-    sum(floor(N/p_i)) + 1.
+    sum(floor(N/p_i)) + 1.  A range with no degree in it checks nothing,
+    so ``max_degree`` below 1 is refused.
     """
+    if max_degree < 1:
+        raise PreconditionError(f"max_degree must be at least 1, got {max_degree}")
     pres = wahl_generators(params)
     n = params.n
     top, bottom = pres.matrix
@@ -304,14 +307,16 @@ def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
 
     gen_degrees = list(pres.degrees) + [1]
     gen_elems = list(pres.gens) + [pres.v]
-    powers: list[dict[int, RingElement]] = [dict() for _ in gen_elems]
+    # powers[gi][k] = gen_elems[gi]^k, extended on demand by a loop: a
+    # recursive closure would refer to itself, a reference cycle that kept
+    # the whole cache alive until the next full garbage collection
+    powers = [[ring_one(params)] for _ in gen_elems]
 
     def power(gi: int, k: int) -> RingElement:
-        if k == 0:
-            return ring_one(params)
-        if k not in powers[gi]:
-            powers[gi][k] = power(gi, k - 1) * gen_elems[gi]
-        return powers[gi][k]
+        cache = powers[gi]
+        while len(cache) <= k:
+            cache.append(cache[-1] * gen_elems[gi])
+        return cache[k]
 
     dim_failures = []
     for target in range(1, max_degree + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
-from .gradedring import graded_basis, piece_product
+from .gradedring import _product_rows, graded_dim
 from .hj import hj_expand, i_set
 from .lgroup import (
     LElement,
@@ -120,19 +120,14 @@ def dual_graph(params: Parameters, x: LElement) -> DualGraph:
     _require_valid(params, x)
     a = x.c_coeff
     nonzero = [i for i, ai in enumerate(x.arms) if ai != 0]
-    v = len(nonzero)
     flags = () if not in_interval_0_c(x) else ("non-minimal",)
-    if v == 0:
-        return replace(
-            make_star(-a, [], arm_sources=()), flags=flags
-        )
-    center_label = -(a + v) if v >= 2 else -1 - a
     arm_labels = []
     for i in nonzero:
         p, ai = params.weights[i], x.arms[i]
         arm_labels.append([-q for q in hj_expand(p, p - ai).alphas])
     return replace(
-        make_star(center_label, arm_labels, arm_sources=tuple(nonzero)), flags=flags
+        make_star(-(a + len(nonzero)), arm_labels, arm_sources=tuple(nonzero)),
+        flags=flags,
     )
 
 
@@ -226,8 +221,15 @@ def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int =
     the products of the pieces in degrees omega + m*x and y + (l - m)*x.
     A failing l is returned as the witness; passing every l up to the cutoff
     is strong evidence, not proof, of speciality.
+
+    Each level stacks the integer shift rows of all its products and makes
+    one ``rref`` call.  The sum lies inside the piece, so equality is a rank
+    count: a rank modulo 2^61 - 1 equal to the dimension certifies it, and
+    any other outcome is settled by exact integer elimination.
     """
     _require_valid(params, x)
+    if l_max < 1:
+        raise PreconditionError(f"l_max must be at least 1, got {l_max}")
     if in_interval_0_c(x):
         raise NotMinimalError("the oracle needs x outside [0, c]")
     if not coprime_criterion(params, x):
@@ -236,14 +238,13 @@ def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int =
         )
     omega = special_elements(params).omega
     for l in range(1, l_max + 1):
-        target = graded_basis(params, l_add(y, l_add(omega, l_scale(l, x))))
+        dim = graded_dim(params, l_add(y, l_add(omega, l_scale(l, x))))
         rows = []
         for m in range(1, l + 1):
             left = l_add(omega, l_scale(m, x))
             right = l_add(y, l_scale(l - m, x))
-            rows.extend(piece_product(params, left, right).rows)
-        # the sum is contained in the piece, so equality is a rank count
-        if len(rref(rows)) != target.dim:
+            rows.extend(_product_rows(params, left, right))
+        if len(rref(rows)) != dim:
             return OracleResult(False, l)
     return OracleResult(True)
 

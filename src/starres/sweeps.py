@@ -80,7 +80,7 @@ def sweep_center_label(count: int = 100, seed: int = 0):
         a = x.c_coeff
         shifted = l_add(x, l_neg(LElement(params.weights, (0,) * params.n, 1)))
         a_indep = len(graded_basis(params, shifted).basis)
-        expected = -(a + v) if v >= 2 else (-1 - a if v == 1 else -a)
+        expected = -(a + v)
         if g.labels[g.center] != expected or a_indep != a:
             return {
                 "check": "center-label",

@@ -123,6 +123,32 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["wahl", "--p", "2,3,4", "--max-degree", "-5"], "--max-degree"),
+            (["wahl", "--p", "2,3,4", "--max-degree", "0"], "--max-degree"),
+            (["sweep", "--count", "0"], "--count"),
+            (["sweep", "--lmax", "0"], "--lmax"),
+            (["sweep", "--rmax", "1"], "--rmax"),
+            (["sweep", "--rmax", "1", "--count", "0"], "--rmax"),
+        ],
+    )
+    def test_empty_check_range_exits_two(self, capsys, argv, option):
+        # a check over zero cases must not pass vacuously
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert option in out.err and "at least" in out.err
+
+    def test_non_integer_bound_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--count", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_run_green(self, capsys):

@@ -217,6 +217,11 @@ class TestWahlVerify:
     def test_235(self):
         assert wahl_verify(Parameters([2, 3, 5]), 10).ok
 
+    @pytest.mark.parametrize("max_degree", [0, -5])
+    def test_empty_degree_range_rejected(self, max_degree):
+        with pytest.raises(PreconditionError):
+            wahl_verify(Parameters([2, 3, 4]), max_degree)
+
     def test_equal_points_rejected_at_construction(self):
         with pytest.raises(ParameterError):
             Parameters([2, 3, 3], [(1, 0), (0, 1), (2, 0)])

@@ -239,6 +239,11 @@ class TestOracle:
         with pytest.raises(NotMinimalError):
             speciality_oracle(P355, c_element(P355), c_element(P355), 8)
 
+    @pytest.mark.parametrize("l_max", [0, -3])
+    def test_empty_level_range_rejected(self, l_max):
+        with pytest.raises(PreconditionError):
+            speciality_oracle(P355, X355, generator(P355, 1), l_max)
+
 
 class TestDot:
     def test_names_and_tooltips(self):
