@@ -1,18 +1,37 @@
 """Intersection theory on labelled trees.
 
-The pairing matrix of a labelled tree, exact negative-definiteness, the
-fundamental cycle by Laufer-style increments (with a brute-force search as
+The pairing matrix of a labelled tree, negative definiteness, the
+fundamental cycle by Laufer increments (with a brute-force search as
 independent oracle), reducedness, and the rational canonical cycle.
+
+One pass reads the entries once: it checks that the matrix is symmetric
+and that its off-diagonal support is a forest, keeps neighbour lists, roots
+every component at its lowest vertex and eliminates from the leaves to the
+roots.  A leaf's row meets only its parent's, so nothing fills in and the
+pivot of v is
+
+    d_v = m[v][v] - sum over the children c of v of m[v][c]^2 / d_c.
+
+Everything else reads the pivots, the neighbour lists and single entries;
+nothing sums over a dense row:
+
+- the matrix is negative definite iff every pivot is negative (Sylvester's
+  criterion on the matrix permuted into elimination order, whose leading
+  principal minors are the products of the first pivots);
+- the canonical cycle is a forward sweep over the pivots plus a
+  back-substitution from the roots;
+- the Laufer loop keeps Z . E_i for every vertex and, after an increment,
+  revisits only the incremented vertex and its neighbours (Laufer 1972).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
+from typing import NamedTuple
 
 from .errors import PreconditionError
-from .linalg import det, solve
 
 
 @dataclass(frozen=True)
@@ -38,16 +57,74 @@ def matrix_from_graph(graph) -> IntersectionMatrix:
     for i, j in graph.edges:
         rows[i][j] += 1
         rows[j][i] += 1
-    return IntersectionMatrix(tuple(tuple(r) for r in rows))
+    # a tuple of a list, not of a generator: see linalg._integer_row
+    return IntersectionMatrix(tuple([tuple(r) for r in rows]))
+
+
+class _Tree(NamedTuple):
+    """The leaf-to-root elimination of a forest-shaped symmetric matrix."""
+
+    order: list[int]  # breadth first from each root: parents before children
+    parent: list[int]  # -1 at a root
+    neighbours: list[list[tuple[int, int]]]  # (j, m[i][j]) for j != i, m[i][j] != 0
+    pivots: list  # Fraction per vertex; None for all once a pivot is zero
+
+
+def _eliminate_tree(m: IntersectionMatrix) -> _Tree:
+    entries = m.entries
+    k = len(entries)
+    # every row equal to its column, with as many columns as rows; no tuple
+    # is built from an iterator (see linalg._integer_row)
+    columns = list(zip(*entries))
+    if len(columns) != k or any(tuple(row) != col for row, col in zip(entries, columns)):
+        raise PreconditionError("intersection matrix must be square and symmetric")
+    neighbours = [
+        [(j, row[j]) for j in compress(range(k), row) if j != i]
+        for i, row in enumerate(entries)
+    ]
+    parent = [-1] * k
+    seen = [False] * k
+    order: list[int] = []
+    for root in range(k):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for j, _w in neighbours[v]:
+                if j == parent[v]:
+                    continue
+                if seen[j]:
+                    raise PreconditionError("the off-diagonal support of the matrix must be a forest")
+                seen[j] = True
+                parent[j] = v
+                order.append(j)
+    pivots = [None] * k
+    for v in reversed(order):
+        d = Fraction(entries[v][v])
+        for c, w in neighbours[v]:
+            if c != parent[v]:
+                d -= w * w / pivots[c]
+        if not d:
+            return _Tree(order, parent, neighbours, [None] * k)
+        pivots[v] = d
+    return _Tree(order, parent, neighbours, pivots)
+
+
+def _definite(tree: _Tree) -> bool:
+    return all(d is not None and d < 0 for d in tree.pivots)
 
 
 def is_negative_definite(m: IntersectionMatrix) -> bool:
-    """Leading principal minors alternate in sign, checked exactly."""
-    for k in range(1, m.size + 1):
-        minor = det([row[:k] for row in m.entries[:k]])
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
+    """Every leaf-to-root pivot is negative, checked exactly.
+
+    Raises PreconditionError unless the matrix is symmetric with an
+    off-diagonal support that is a forest.
+    """
+    return _definite(_eliminate_tree(m))
 
 
 def pair(m: IntersectionMatrix, a, b) -> Fraction:
@@ -65,6 +142,35 @@ def _pair_with_vertex(m: IntersectionMatrix, z, i: int):
     return sum(zj * m.entries[i][j] for j, zj in enumerate(z))
 
 
+def _laufer(m: IntersectionMatrix, tree: _Tree) -> tuple[list[int], list[int]]:
+    """Z_f by Laufer increments from E_0, and Z_f . E_i for every vertex.
+
+    ``work`` holds every vertex that was hot (Z . E_i > 0) when last
+    touched; an increment of E_i changes Z . E_j only for j = i and the
+    neighbours of i, so only those are pushed again.
+    """
+    if not _definite(tree):
+        raise PreconditionError("fundamental cycle needs a negative definite matrix")
+    entries, neighbours = m.entries, tree.neighbours
+    z = [0] * m.size
+    z[0] = 1
+    dots = [row[0] for row in entries]
+    work = [i for i, d in enumerate(dots) if d > 0]
+    while work:
+        i = work.pop()
+        if dots[i] <= 0:
+            continue
+        z[i] += 1
+        dots[i] += entries[i][i]
+        if dots[i] > 0:
+            work.append(i)
+        for j, w in neighbours[i]:
+            dots[j] += w
+            if dots[j] > 0:
+                work.append(j)
+    return z, dots
+
+
 def fundamental_cycle(m: IntersectionMatrix) -> tuple[int, ...]:
     """Laufer increments from the lowest-index vertex.
 
@@ -72,15 +178,7 @@ def fundamental_cycle(m: IntersectionMatrix) -> tuple[int, ...]:
     unique smallest positive cycle pairing nonpositively with every vertex,
     independent of increment order.
     """
-    if not is_negative_definite(m):
-        raise PreconditionError("fundamental cycle needs a negative definite matrix")
-    z = [0] * m.size
-    z[0] = 1
-    while True:
-        i = next((i for i in range(m.size) if _pair_with_vertex(m, z, i) > 0), None)
-        if i is None:
-            return tuple(z)
-        z[i] += 1
+    return tuple(_laufer(m, _eliminate_tree(m))[0])
 
 
 def fundamental_cycle_brute(m: IntersectionMatrix, bound: int = 4) -> tuple[int, ...]:
@@ -114,10 +212,45 @@ def is_reduced(z) -> bool:
     return all(c == 1 for c in coeffs)
 
 
+def _canonical(m: IntersectionMatrix, tree: _Tree) -> list[Fraction]:
+    """Solve Z . E_i = E_i^2 + 2 over the pivots: leaves up, then roots down."""
+    entries, order, parent, pivots = m.entries, tree.order, tree.parent, tree.pivots
+    if None in pivots:
+        raise PreconditionError("canonical cycle needs nonzero leaf-to-root pivots")
+    rhs = [entries[i][i] + 2 for i in range(m.size)]
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            rhs[p] -= entries[p][v] * rhs[v] / pivots[v]
+    z = [None] * m.size
+    for v in order:
+        p = parent[v]
+        z[v] = (rhs[v] if p < 0 else rhs[v] - entries[v][p] * z[p]) / pivots[v]
+    return z
+
+
 def canonical_cycle(m: IntersectionMatrix) -> tuple[Fraction, ...]:
-    """The rational cycle Z with Z . E_i = E_i^2 + 2 for every vertex."""
-    rhs = [m.entries[i][i] + 2 for i in range(m.size)]
-    try:
-        return solve(m.entries, rhs)
-    except ValueError as exc:
-        raise PreconditionError("canonical cycle needs an invertible matrix") from exc
+    """The rational cycle Z with Z . E_i = E_i^2 + 2 for every vertex.
+
+    Raises PreconditionError unless the matrix is symmetric with a forest as
+    off-diagonal support and every leaf-to-root pivot is nonzero.  Only a
+    matrix that is neither negative nor positive definite can have a zero
+    pivot, and it is refused even where it is invertible.
+    """
+    return tuple(_canonical(m, _eliminate_tree(m)))
+
+
+def cycle_pairings(m: IntersectionMatrix):
+    """``(Z_f, Z_f . E_i, Z_K . E_i)`` from one pass over the matrix.
+
+    The pairings are lists over the vertices.  Z_K . E_i is summed over
+    neighbour lists, so it checks the solve rather than restating it.
+    """
+    tree = _eliminate_tree(m)
+    zf, zf_dots = _laufer(m, tree)
+    zk = _canonical(m, tree)
+    zk_dots = [
+        m.entries[i][i] * zk[i] + sum([w * zk[j] for j, w in tree.neighbours[i]])
+        for i in range(m.size)
+    ]
+    return tuple(zf), zf_dots, zk_dots

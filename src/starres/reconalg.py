@@ -17,12 +17,7 @@ from fractions import Fraction
 from .errors import NotMinimalError, ParameterError, PreconditionError, StarresError
 from .gradedring import RingElement, affine_value, graded_basis, graded_dim, ring_one, span
 from .hj import hj_expand
-from .intersection import (
-    canonical_cycle,
-    fundamental_cycle,
-    is_negative_definite,
-    matrix_from_graph,
-)
+from .intersection import cycle_pairings, matrix_from_graph
 from .lgroup import LElement, Parameters, l_neg, l_scale, normal_form, special_elements
 from .resolution import DualGraph, ModuleLabel, dual_graph, specials
 
@@ -72,19 +67,13 @@ def quiver_from_intersection(g: DualGraph, labels=None) -> QuiverData:
     if any(l >= -1 for l in g.labels):
         raise NotMinimalError("quiver counts need all self-intersections <= -2")
     m = matrix_from_graph(g)
-    if not is_negative_definite(m):
-        raise PreconditionError("intersection matrix must be negative definite")
-    zf = fundamental_cycle(m)
-    zk = canonical_cycle(m)
+    zf, zfdot, zkdot = cycle_pairings(m)
     k = g.size
     arrows = [[0] * (k + 1) for _ in range(k + 1)]
     relations = [[0] * (k + 1) for _ in range(k + 1)]
-    zfdot = [sum(zf[j] * m.entries[i][j] for j in range(k)) for i in range(k)]
-    zkdot = [sum(zk[j] * m.entries[i][j] for j in range(k)) for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            arrows[i][j] = _pos(m.entries[i][j]) if i != j else 0
-            relations[i][j] = _pos(-1 - m.entries[i][j])
+    for i, row in enumerate(m.entries):
+        arrows[i][:k] = [x if x > 0 else 0 for x in row]  # the diagonal is <= -2
+        relations[i][:k] = [-1 - x if x < -1 else 0 for x in row]
         arrows[i][k] = _pos(-zfdot[i])
         diff = zkdot[i] - zfdot[i]
         if Fraction(diff).denominator != 1:
@@ -95,8 +84,9 @@ def quiver_from_intersection(g: DualGraph, labels=None) -> QuiverData:
     relations[k][k] = -1 - zf_self
     return QuiverData(
         vertices=_names_from_labels(g, labels),
-        arrows=tuple(tuple(r) for r in arrows),
-        relations=tuple(tuple(r) for r in relations),
+        # tuples of lists, not of generators: see linalg._integer_row
+        arrows=tuple([tuple(r) for r in arrows]),
+        relations=tuple([tuple(r) for r in relations]),
     )
 
 
@@ -135,8 +125,9 @@ def quiver_combinatorial(params: Parameters, x: LElement) -> QuiverData:
     relations[k][g.center] = v - 2
     return QuiverData(
         vertices=_names_from_labels(g, labels),
-        arrows=tuple(tuple(r) for r in arrows),
-        relations=tuple(tuple(r) for r in relations),
+        # tuples of lists, not of generators: see linalg._integer_row
+        arrows=tuple([tuple(r) for r in arrows]),
+        relations=tuple([tuple(r) for r in relations]),
     )
 
 

@@ -1,7 +1,9 @@
 """Seeded cross-check sweeps pairing every classification with its oracle.
 
 Each sweep returns None on success or a JSON-serializable counterexample
-dict; the CLI turns the first counterexample into a nonzero exit.
+dict; the CLI turns the first counterexample into a nonzero exit.  A sweep
+asked to check nothing raises PreconditionError, and one whose every draw
+was skipped returns a counterexample: a check over zero cases has failed.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
+from .errors import PreconditionError
 from .gradedring import graded_basis, graded_dim
 from .hj import i_set, ito_oracle, residue_criterion
 from .intersection import (
@@ -21,6 +24,7 @@ from .intersection import (
     pair,
 )
 from .lgroup import LElement, Parameters, l_add, l_neg, l_scale, normal_form, reduce_parameters
+from .linalg import det, solve
 from .reconalg import quiver_combinatorial, quiver_from_intersection
 from .resolution import dual_graph, specials
 
@@ -47,8 +51,15 @@ def random_element(rng: random.Random, nmax=4, pmax=6, amax=3, coprime=False, mi
         return params, x
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise PreconditionError(f"count must be at least 1, got {count}")
+
+
 def sweep_iseries(rmax: int = 40):
     """Triangle equality of the three characterizations of I(r, a)."""
+    if rmax < 2:
+        raise PreconditionError(f"rmax must be at least 2, got {rmax}")
     for r in range(2, rmax + 1):
         for a in range(1, r):
             if gcd(r, a) != 1:
@@ -72,6 +83,7 @@ def sweep_iseries(rmax: int = 40):
 
 def sweep_center_label(count: int = 100, seed: int = 0):
     """Center label equals -(a + v), with a re-derived as a graded dimension."""
+    _require_count(count)
     rng = random.Random(seed)
     for _ in range(count):
         params, x = random_element(rng, coprime=True)
@@ -93,32 +105,62 @@ def sweep_center_label(count: int = 100, seed: int = 0):
     return None
 
 
+def _minors_negative_definite(m) -> bool:
+    """The dense route: leading principal minors alternate in sign."""
+    return all(
+        (-1) ** k * det([row[:k] for row in m.entries[:k]]) > 0 for k in range(1, m.size + 1)
+    )
+
+
 def sweep_cycles(count: int = 100, seed: int = 0, brute_max_size: int = 8):
-    """Fundamental cycle: reduced, Laufer = brute force, canonical system exact."""
+    """Fundamental cycle: reduced, Laufer = brute force, canonical system exact.
+
+    Definiteness and the canonical cycle are computed twice, by the tree
+    pivots and by the dense route (leading minors, a dense solve).
+    """
+    _require_count(count)
     rng = random.Random(seed)
+    checked = 0
     for _ in range(count):
         params, x = random_element(rng)
         g = dual_graph(params, x)
         if "non-minimal" in g.flags:
             continue
+        checked += 1
+        where = {"p": list(params.weights), "x": x.to_json()}
         m = matrix_from_graph(g)
-        if not is_negative_definite(m):
-            return {"check": "negative-definite", "p": list(params.weights), "x": x.to_json()}
+        definite = is_negative_definite(m)
+        if definite != _minors_negative_definite(m):
+            return {"check": "tree-vs-dense", "quantity": "negative-definite", **where, "tree": definite}
+        if not definite:
+            return {"check": "negative-definite", **where}
         zf = fundamental_cycle(m)
         if not is_reduced(zf):
-            return {"check": "reduced", "p": list(params.weights), "x": x.to_json(), "zf": list(zf)}
+            return {"check": "reduced", **where, "zf": list(zf)}
         if m.size <= brute_max_size and zf != fundamental_cycle_brute(m):
-            return {"check": "laufer-vs-brute", "p": list(params.weights), "x": x.to_json()}
+            return {"check": "laufer-vs-brute", **where}
         zk = canonical_cycle(m)
+        dense = solve(m.entries, [m.entries[i][i] + 2 for i in range(m.size)])
+        if zk != dense:
+            return {
+                "check": "tree-vs-dense",
+                "quantity": "canonical-cycle",
+                **where,
+                "tree": [str(z) for z in zk],
+                "dense": [str(z) for z in dense],
+            }
         for i in range(m.size):
             ei = tuple(1 if j == i else 0 for j in range(m.size))
             if pair(m, zk, ei) != m.entries[i][i] + 2:
-                return {"check": "canonical-cycle", "p": list(params.weights), "x": x.to_json()}
+                return {"check": "canonical-cycle", **where}
+    if not checked:
+        return {"check": "cycles-none-checked", "count": count, "seed": seed}
     return None
 
 
 def sweep_quiver(count: int = 50, seed: int = 0):
     """Cross-construction equality of the two quiver routes."""
+    _require_count(count)
     rng = random.Random(seed)
     for _ in range(count):
         params, x = random_element(rng, min_v=2)
@@ -137,6 +179,7 @@ def sweep_quiver(count: int = 50, seed: int = 0):
 
 def sweep_reduce(count: int = 20, seed: int = 0, degrees: int = 8):
     """Graded dimensions agree before and after parameter reduction."""
+    _require_count(count)
     rng = random.Random(seed)
     found = 0
     while found < count:
@@ -167,6 +210,7 @@ def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
     from .lgroup import generator
     from .resolution import speciality_oracle
 
+    _require_count(count)
     rng = random.Random(seed)
     for _ in range(count):
         params, x = random_element(rng, nmax=3, pmax=5, coprime=True)

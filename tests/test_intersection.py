@@ -17,7 +17,7 @@ from starres.intersection import (
     pair,
 )
 from starres.lgroup import Parameters, normal_form, special_elements
-from starres.linalg import det
+from starres.linalg import det, solve
 from starres.resolution import dual_graph, make_star
 
 
@@ -38,6 +38,129 @@ def laufer_any_order(m, rng, start):
         if not hot:
             return tuple(z)
         z[rng.choice(hot)] += 1
+
+
+def laufer_full_rescan(m):
+    """The dense Laufer loop: rescan every vertex, add the lowest hot one."""
+    z = [0] * m.size
+    z[0] = 1
+    while True:
+        hot = [
+            i
+            for i in range(m.size)
+            if sum(z[j] * m.entries[i][j] for j in range(m.size)) > 0
+        ]
+        if not hot:
+            return tuple(z)
+        z[hot[0]] += 1
+
+
+def minors_negative_definite(m):
+    """Leading principal minors alternate in sign, by dense determinants."""
+    return all(
+        (-1) ** k * det([row[:k] for row in m.entries[:k]]) > 0
+        for k in range(1, m.size + 1)
+    )
+
+
+def random_tree_matrix(rng, k, high=-1, forest=False):
+    """A random labelled tree (or forest) on shuffled vertices, labels in [-6, high]."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = rng.randint(-6, high)
+    for child in range(1, k):
+        if forest and rng.random() < 0.2:
+            continue
+        a, b = perm[child], perm[rng.randrange(child)]
+        rows[a][b] = rows[b][a] = 1
+    return IntersectionMatrix(tuple(tuple(r) for r in rows))
+
+
+AFFINE_STAR = matrix_from_graph(make_star(-2, [[-2], [-2], [-2], [-2]]))
+
+
+def random_tree_matrices():
+    """Seeded trees and forests of 1 to 60 vertices, plus the affine star."""
+    rng = random.Random(14)
+    mats = [AFFINE_STAR]
+    for n in range(90):
+        # labels in [-6, -2] are mostly definite, in [-6, -1] mostly not
+        mats.append(random_tree_matrix(rng, rng.randint(1, 60), -1 - n % 2, n % 3 == 0))
+    return mats
+
+
+class TestTreePivots:
+    """The leaf-to-root pass against the dense route on random trees."""
+
+    MATS = random_tree_matrices()
+
+    def test_sample_covers_every_kind(self):
+        # the affine star is semidefinite: singular, not definite
+        assert det(AFFINE_STAR.entries) == 0 and not is_negative_definite(AFFINE_STAR)
+        definite = [is_negative_definite(m) for m in self.MATS]
+        forests = [sum(x > 0 for row in m.entries for x in row) < 2 * (m.size - 1) for m in self.MATS]
+        assert 20 <= sum(definite) <= len(self.MATS) - 20
+        assert 20 <= sum(forests) and any(d and f for d, f in zip(definite, forests))
+        assert max(m.size for m in self.MATS) >= 55
+
+    def test_definiteness_matches_minors(self):
+        for m in self.MATS:
+            assert is_negative_definite(m) == minors_negative_definite(m)
+
+    def test_canonical_cycle_matches_solve(self):
+        for m in self.MATS:
+            rhs = [m.entries[i][i] + 2 for i in range(m.size)]
+            try:
+                dense = solve(m.entries, rhs)
+            except ValueError:
+                with pytest.raises(PreconditionError):
+                    canonical_cycle(m)
+                continue
+            try:
+                zk = canonical_cycle(m)
+            except PreconditionError:
+                # a zero pivot: invertible, but neither definite
+                assert not is_negative_definite(m)
+                continue
+            assert zk == dense
+            assert all(type(z) is Fraction for z in zk)
+
+    def test_fundamental_cycle_matches_full_rescan(self):
+        for m in self.MATS:
+            if not is_negative_definite(m):
+                with pytest.raises(PreconditionError):
+                    fundamental_cycle(m)
+                continue
+            assert fundamental_cycle(m) == laufer_full_rescan(m)
+
+    def test_forest_cycle_stays_on_first_component(self):
+        # two -2 chains: vertex 0's component only
+        m = IntersectionMatrix(((-2, 1, 0, 0), (1, -2, 0, 0), (0, 0, -2, 1), (0, 0, 1, -2)))
+        assert fundamental_cycle(m) == (1, 1, 0, 0) == laufer_full_rescan(m)
+        assert canonical_cycle(m) == (0, 0, 0, 0)
+
+    def test_multiple_edge(self):
+        m = IntersectionMatrix(((-3, 2), (2, -3)))
+        assert is_negative_definite(m) == minors_negative_definite(m)
+        assert canonical_cycle(m) == solve(m.entries, [-1, -1])
+        assert fundamental_cycle(m) == laufer_full_rescan(m)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((-2, 1, 1), (1, -2, 1), (1, 1, -2)),  # triangle support
+            ((-2, 1), (0, -2)),  # not symmetric
+            ((-2, 1), (1,)),  # not square
+        ],
+        ids=["triangle", "non-symmetric", "non-square"],
+    )
+    def test_rejected(self, entries):
+        m = IntersectionMatrix(entries)
+        for fn in (is_negative_definite, fundamental_cycle, canonical_cycle):
+            with pytest.raises(PreconditionError):
+                fn(m)
 
 
 class TestMatrix:

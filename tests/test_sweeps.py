@@ -1,0 +1,45 @@
+"""Library sweeps refuse to pass after checking nothing."""
+
+import pytest
+
+from starres import sweeps
+from starres.errors import PreconditionError
+from starres.lgroup import Parameters, normal_form
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        sweeps.sweep_center_label,
+        sweeps.sweep_cycles,
+        sweeps.sweep_quiver,
+        sweeps.sweep_reduce,
+        sweeps.sweep_speciality,
+    ],
+)
+def test_empty_count_raises(sweep):
+    with pytest.raises(PreconditionError):
+        sweep(0)
+
+
+def test_iseries_empty_range_raises():
+    with pytest.raises(PreconditionError):
+        sweeps.sweep_iseries(1)
+    assert sweeps.sweep_iseries(2) is None
+
+
+def test_cycles_all_skipped_is_a_counterexample(monkeypatch):
+    params = Parameters([2, 3])
+    x = normal_form(params, [0, 0], 1)  # c itself: lies in [0, c], non-minimal
+    monkeypatch.setattr(sweeps, "random_element", lambda rng: (params, x))
+    assert sweeps.sweep_cycles(3) == {"check": "cycles-none-checked", "count": 3, "seed": 0}
+
+
+def test_cycles_tree_route_checked_against_dense(monkeypatch):
+    assert sweeps.sweep_cycles(10) is None
+    monkeypatch.setattr(sweeps, "canonical_cycle", lambda m: (0,) * m.size)
+    found = sweeps.sweep_cycles(10)
+    assert found["check"] == "tree-vs-dense" and found["quantity"] == "canonical-cycle"
+    monkeypatch.setattr(sweeps, "is_negative_definite", lambda m: False)
+    found = sweeps.sweep_cycles(10)
+    assert found["check"] == "tree-vs-dense" and found["quantity"] == "negative-definite"
