@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import ParameterError, PreconditionError
 from .lgroup import LElement, Parameters
@@ -281,30 +281,35 @@ def full_subspace(piece: GradedPiece) -> Subspace:
     return Subspace(piece, rows)
 
 
+def _support(y: LElement, z: LElement) -> list[int]:
+    """Arms i with y_i + z_i >= p_i: each carries into c when y and z are added.
+
+    These are the marked points whose linear forms divide the reduced
+    product of the arm monomials of degrees y and z.
+    """
+    return [i for i, (s, t, p) in enumerate(zip(y.arms, z.arms, y.weights)) if s + t >= p]
+
+
 def _product_rows(params: Parameters, y: LElement, z: LElement) -> list[list[int]]:
     """Integer coordinate rows spanning the product of the pieces of degrees y and z.
 
     Every pairwise basis product is a t-shift of the single reduced product
-    of the two arm monomials, a nonzero binary form, so the distinct shifts
-    are linearly independent and span the product inside the piece of
-    degree y + z.  The form is scaled to integers once; each shift is a row.
+    of the two arm monomials, f = prod(ell_i) over the support of (y, z)
+    (``_support``), a nonzero binary form, so the distinct shifts are
+    linearly independent and span the product inside the piece of degree
+    y + z.  The form is built as the integer product of w_i*t0 - u_i*t1 over
+    the points (u_i:w_i), a nonzero multiple of f; coordinates are indexed
+    by the t0 exponent and each shift is a row.
     """
     a, b = y.c_coeff, z.c_coeff
     if a < 0 or b < 0:
         return []
-    dim = graded_dim(params, y + z)
-    core = RingElement.from_monomial(
-        params, 1, arms=tuple(s + t for s, t in zip(y.arms, z.arms))
-    ).terms
-    scale = lcm(*[c.denominator for c in core.values()])
-    form = [(key[0], c.numerator * (scale // c.denominator)) for key, c in core.items()]
-    rows = []
-    for sigma in range(a + b + 1):
-        vec = [0] * dim
-        for e0, c in form:
-            vec[e0 + sigma] = c
-        rows.append(vec)
-    return rows
+    form = [1]
+    for i in _support(y, z):
+        u, w = params.points[i]
+        form = [w * raised - u * c for raised, c in zip([0, *form], [*form, 0])]
+    shifts = a + b
+    return [[0] * sigma + form + [0] * (shifts - sigma) for sigma in range(shifts + 1)]
 
 
 def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:

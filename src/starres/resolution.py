@@ -12,9 +12,10 @@ I(p_j, p_j - a_j), one module per exceptional curve plus the ring itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
-from .gradedring import _product_rows, graded_dim
+from .gradedring import _product_rows, _support
 from .hj import hj_expand, i_set
 from .lgroup import (
     LElement,
@@ -23,7 +24,6 @@ from .lgroup import (
     in_interval_0_c,
     is_positive,
     l_add,
-    l_scale,
     special_elements,
 )
 from .linalg import rref
@@ -222,10 +222,17 @@ def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int =
     A failing l is returned as the witness; passing every l up to the cutoff
     is strong evidence, not proof, of speciality.
 
-    Each level stacks the integer shift rows of all its products and makes
-    one ``rref`` call.  The sum lies inside the piece, so equality is a rank
-    count: a rank modulo 2^61 - 1 equal to the dimension certifies it, and
-    any other outcome is settled by exact integer elimination.
+    Each product is f_Q * S_(dim - 1 - |Q|) for the squarefree binary form
+    f_Q, the product of the linear forms of the points in its support Q
+    (``gradedring._support``).  The points are distinct, so these forms are
+    pairwise coprime, and most levels are settled from the supports alone
+    (``_decide_level``): no product, or a point common to every support,
+    fails; an empty support, or two disjoint supports whose sizes sum to at
+    most dim (two coprime binary forms of degrees d1 and d2 generate every
+    form of degree at least d1 + d2 - 1), passes.  Any other level falls
+    back to ``_level_by_rank``, which stacks the integer shift rows of the
+    level's products and makes one ``rref`` call; modular arithmetic, as
+    ``rref``'s full-rank certificate, appears on that path only.
     """
     _require_valid(params, x)
     if l_max < 1:
@@ -236,15 +243,71 @@ def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int =
         raise PreconditionError(
             "oracle requires coprime arm coefficients; reduce parameters first"
         )
-    omega = special_elements(params).omega
+    for l, dim, pairs in _levels(params, x, y, l_max):
+        fills = _decide_level([frozenset(_support(a, b)) for a, b in pairs], dim)
+        if fills is None:
+            fills = _level_by_rank(params, pairs, dim)
+        if not fills:
+            return OracleResult(False, l)
+    return OracleResult(True)
+
+
+def _levels(params: Parameters, x: LElement, y: LElement, l_max: int):
+    """Yield (l, dim, pairs) for l in [1, l_max].
+
+    dim is the dimension of the piece of degree y + omega + l*x, and pairs
+    lists the degrees (omega + m*x, y + (l - m)*x), m in [1, l], whose pieces
+    are both nonempty.  The left piece always is: with every a_i nonzero,
+    omega + x has c coefficient n + a - 2 >= 0 for x outside [0, c].  Adding
+    two degrees adds their c coefficients plus one per carrying arm, so dim
+    needs no further group arithmetic.
+    """
+    lefts = [special_elements(params).omega]
+    rights = [y]
+    for _ in range(l_max):
+        lefts.append(l_add(lefts[-1], x))
+        rights.append(l_add(rights[-1], x))
     for l in range(1, l_max + 1):
-        dim = graded_dim(params, l_add(y, l_add(omega, l_scale(l, x))))
-        rows = []
-        for m in range(1, l + 1):
-            left = l_add(omega, l_scale(m, x))
-            right = l_add(y, l_scale(l - m, x))
-            rows.extend(_product_rows(params, left, right))
-        if len(rref(rows)) != dim:
+        top = lefts[l]
+        dim = max(top.c_coeff + y.c_coeff + len(_support(top, y)) + 1, 0)
+        pairs = [(lefts[m], rights[l - m]) for m in range(1, l + 1) if rights[l - m].c_coeff >= 0]
+        yield l, dim, pairs
+
+
+def _decide_level(supports: list[frozenset[int]], dim: int) -> bool | None:
+    """Whether the products f_Q * S_(dim - 1 - |Q|), Q in supports, fill a
+    piece of dimension dim; None when the supports alone do not settle it.
+    """
+    if not supports:
+        return dim == 0
+    if frozenset.intersection(*supports):
+        return False  # every product lies in ell_i * S
+    if not all(supports):
+        return True  # f = 1: the product is the whole piece
+    for q, r in combinations(set(supports), 2):
+        if not q & r and len(q) + len(r) <= dim:
+            return True  # coprime f_Q, f_R generate every degree >= |Q| + |R| - 1
+    return None
+
+
+def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:
+    """Whether the products of the pieces in pairs fill their piece of
+    dimension dim: their integer shift rows stacked, with one ``rref`` call.
+    """
+    rows = []
+    for left, right in pairs:
+        rows.extend(_product_rows(params, left, right))
+    return len(rref(rows)) == dim
+
+
+def _speciality_by_rank(params: Parameters, x: LElement, y: LElement, l_max: int) -> OracleResult:
+    """The oracle's answer with every level decided by ``_level_by_rank``.
+
+    The second route to each verdict and witness; it skips the oracle's
+    preconditions, so call it only on inputs the oracle accepts.
+    """
+    for l, dim, pairs in _levels(params, x, y, l_max):
+        if not _level_by_rank(params, pairs, dim):
             return OracleResult(False, l)
     return OracleResult(True)
 

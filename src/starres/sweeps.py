@@ -23,10 +23,19 @@ from .intersection import (
     matrix_from_graph,
     pair,
 )
-from .lgroup import LElement, Parameters, l_add, l_neg, l_scale, normal_form, reduce_parameters
+from .lgroup import (
+    LElement,
+    Parameters,
+    generator,
+    l_add,
+    l_neg,
+    l_scale,
+    normal_form,
+    reduce_parameters,
+)
 from .linalg import det, solve
 from .reconalg import quiver_combinatorial, quiver_from_intersection
-from .resolution import dual_graph, specials
+from .resolution import _speciality_by_rank, dual_graph, specials, speciality_oracle
 
 
 def random_element(rng: random.Random, nmax=4, pmax=6, amax=3, coprime=False, min_v=0):
@@ -205,12 +214,14 @@ def sweep_reduce(count: int = 20, seed: int = 0, degrees: int = 8):
     return None
 
 
-def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
-    """Subspace oracle against the value-set classification, small grid."""
-    from .lgroup import generator
-    from .resolution import speciality_oracle
+def _speciality_verdicts(count: int, seed: int, l_max: int):
+    """Yield (where, oracle, by_rank, classified) for every shifted module
+    S(u*x_j), 0 <= u <= p_j, of ``count`` seeded inputs.
 
-    _require_count(count)
+    ``oracle`` is ``speciality_oracle``'s answer, ``by_rank`` the same levels
+    decided by rank alone, and ``classified`` whether u lies in the value set
+    I(p_j, p_j - a_j).
+    """
     rng = random.Random(seed)
     for _ in range(count):
         params, x = random_element(rng, nmax=3, pmax=5, coprime=True)
@@ -218,18 +229,48 @@ def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
             values = i_set(p, p - x.arms[j])
             for u in range(p + 1):
                 y = l_scale(u, generator(params, j))
-                result = speciality_oracle(params, x, y, l_max)
-                if result.special != (u in values):
-                    return {
-                        "check": "speciality-oracle",
-                        "p": list(params.weights),
-                        "x": x.to_json(),
-                        "arm": j,
-                        "u": u,
-                        "oracle": result.special,
-                        "witness": result.witness,
-                        "classification": u in values,
-                    }
+                where = {"p": list(params.weights), "x": x.to_json(), "arm": j, "u": u}
+                yield (
+                    where,
+                    speciality_oracle(params, x, y, l_max),
+                    _speciality_by_rank(params, x, y, l_max),
+                    u in values,
+                )
+
+
+def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
+    """Subspace oracle against the value-set classification, small grid.
+
+    Every level is decided twice, from the product supports and by rank.
+    Without a witness up to l_max a module is unrefuted, not proven special,
+    so one the classification calls nonspecial is skipped; a witness for a
+    module classified special is a counterexample.
+    """
+    _require_count(count)
+    checked = 0
+    for where, oracle, by_rank, classified in _speciality_verdicts(count, seed, l_max):
+        if oracle != by_rank:
+            return {
+                "check": "certificate-vs-rank",
+                **where,
+                "oracle": oracle.special,
+                "witness": oracle.witness,
+                "rank": by_rank.special,
+                "rank_witness": by_rank.witness,
+            }
+        if oracle.special and not classified:
+            continue
+        checked += 1
+        if oracle.special != classified:
+            return {
+                "check": "speciality-oracle",
+                **where,
+                "oracle": oracle.special,
+                "witness": oracle.witness,
+                "classification": classified,
+            }
+    if not checked:
+        return {"check": "speciality-none-checked", "count": count, "seed": seed, "l_max": l_max}
     return None
 
 

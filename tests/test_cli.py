@@ -161,6 +161,12 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--rmax", "8", "--count", "4", "--seed", "999")
         assert code == 0
 
+    def test_unrefuted_module_is_no_counterexample(self, capsys):
+        # l_max = 1 leaves some nonspecial modules without a witness
+        code, out, _ = run(capsys, "sweep", "--rmax", "4", "--count", "2", "--lmax", "1")
+        assert code == 0
+        assert "speciality-oracle: ok" in out
+
     def test_counterexample_exits_one(self, capsys, monkeypatch):
         import starres.cli as cli
 

@@ -206,6 +206,30 @@ class TestPieceProduct:
             )
             assert subspace_equal(piece_product(params, y, diff), rhs)
 
+    def test_matches_basis_products_on_any_points(self):
+        # the integer form prod(w_i*t0 - u_i*t1) spans what the ring's own
+        # pairwise basis products span, on points other than the defaults
+        rng = random.Random(12)
+        for _ in range(60):
+            weights = [rng.randint(2, 5) for _ in range(rng.randint(1, 4))]
+            points = []
+            while len(points) < len(weights):
+                u, w = rng.randint(0, 4), rng.randint(-4, 4)
+                if (u, w) != (0, 0) and all(u * b != w * a for a, b in points):
+                    points.append((u, w))
+            params = Parameters(weights, points)
+            y, z = (
+                normal_form(params, [rng.randrange(p) for p in weights], rng.randint(0, 2))
+                for _ in range(2)
+            )
+            products = [
+                multiply(params, a, b)
+                for a in graded_basis(params, y).basis
+                for b in graded_basis(params, z).basis
+            ]
+            expected = span(graded_basis(params, l_add(y, z)), products)
+            assert subspace_equal(piece_product(params, y, z), expected)
+
 
 class TestSubspaces:
     def test_sum_with_zero_and_idempotence(self):

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from starres import resolution
 from starres.errors import NotMinimalError, PreconditionError
 from starres.hj import hj_expand, i_set
 from starres.lgroup import (
+    LElement,
     Parameters,
     c_element,
+    canonical_point,
     generator,
     l_scale,
     normal_form,
@@ -17,6 +20,9 @@ from starres.lgroup import (
     zero,
 )
 from starres.resolution import (
+    _decide_level,
+    _level_by_rank,
+    _speciality_by_rank,
     blow_down_chain,
     dual_graph,
     graph_from_json,
@@ -26,6 +32,7 @@ from starres.resolution import (
     speciality_oracle,
     to_dot,
 )
+from starres.sweeps import random_element
 
 
 P355 = Parameters([3, 5, 5])
@@ -243,6 +250,109 @@ class TestOracle:
     def test_empty_level_range_rejected(self, l_max):
         with pytest.raises(PreconditionError):
             speciality_oracle(P355, X355, generator(P355, 1), l_max)
+
+
+def _pair(weights, arms, c_left, c_right=0):
+    """Degrees with equal arms, so the product's support is {i : 2*arms[i] >= p_i}."""
+    weights, arms = tuple(weights), tuple(arms)
+    return LElement(weights, arms, c_left), LElement(weights, arms, c_right)
+
+
+class TestLevelDecision:
+    def test_no_products(self):
+        assert _decide_level([], 3) is False
+        assert _decide_level([], 0) is True
+
+    def test_common_factor_fails(self):
+        assert _decide_level([frozenset({0, 1}), frozenset({1, 2})], 9) is False
+        assert _decide_level([frozenset({2})], 9) is False
+
+    def test_empty_support_passes(self):
+        assert _decide_level([frozenset({0, 1}), frozenset()], 3) is True
+
+    def test_disjoint_pair_boundary(self):
+        q, r = frozenset({0, 1}), frozenset({2, 3})
+        assert _decide_level([q, r], 4) is True
+        assert _decide_level([q, r], 3) is None
+        # the same supports realised on four points and decided by rank:
+        # l0*l1*S_1 + l2*l3*S_1 fills S_3, while l0*l1 and l2*l3 alone miss S_2
+        params = Parameters([2, 2, 2, 2])
+        w = (2, 2, 2, 2)
+        assert _level_by_rank(params, [_pair(w, (1, 1, 0, 0), 1), _pair(w, (0, 0, 1, 1), 1)], 4)
+        assert not _level_by_rank(params, [_pair(w, (1, 1, 0, 0), 0), _pair(w, (0, 0, 1, 1), 0)], 3)
+
+    def test_hand_built_fallback(self):
+        # three quadrics l0*l1, l1*l2, l0*l2 in S_2: no rule applies, rref settles it
+        supports = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+        assert _decide_level(supports, 3) is None
+        pairs = [
+            _pair((2, 2, 2), (1, 1, 0), 0),
+            _pair((2, 2, 2), (0, 1, 1), 0),
+            _pair((2, 2, 2), (1, 0, 1), 0),
+        ]
+        for points in (None, [(1, 2), (3, -1), (2, 5)]):
+            assert _level_by_rank(Parameters([2, 2, 2], points), pairs, 3) is True
+            assert _level_by_rank(Parameters([2, 2, 2], points), pairs[:2], 3) is False
+
+
+def _random_points(rng, n):
+    points = []
+    while len(points) < n:
+        u, w = rng.randint(-4, 4), rng.randint(-4, 4)
+        if (u, w) == (0, 0):
+            continue
+        pt = canonical_point(u, w)
+        if all(pt[0] * q[1] != pt[1] * q[0] for q in points):
+            points.append(pt)
+    return points
+
+
+def _criterion9_modules():
+    """The worked example and criterion-9-shaped seeded inputs, every (j, u)."""
+    rng = random.Random(9)
+    inputs = [(P355, X355)] + [
+        random_element(rng, nmax=3, pmax=5, coprime=True) for _ in range(12)
+    ]
+    for params, x in inputs:
+        for j, p in enumerate(params.weights):
+            for u in range(p + 1):
+                yield params, x, l_scale(u, generator(params, j))
+
+
+class TestOracleRoutes:
+    def test_random_inputs_match_rank_route(self):
+        rng = random.Random(51)
+        seen = set()
+        for _ in range(150):
+            params, x = random_element(rng, nmax=5, pmax=9, coprime=True)
+            params = Parameters(params.weights, _random_points(rng, params.n))
+            x = normal_form(params, x.arms, x.c_coeff)
+            if rng.random() < 0.5:
+                j = rng.randrange(params.n)
+                y = l_scale(rng.randint(0, params.weights[j]), generator(params, j))
+            else:  # any degree, below 0 included
+                y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-2, 1))
+            l_max = rng.randint(1, 9)
+            result = speciality_oracle(params, x, y, l_max)
+            assert result == _speciality_by_rank(params, x, y, l_max), (params, x, y, l_max)
+            seen.add(result.special)
+        assert seen == {True, False}
+
+    def test_fallback_everywhere_keeps_verdicts(self, monkeypatch):
+        expected = [speciality_oracle(params, x, y, 8) for params, x, y in _criterion9_modules()]
+        rref_calls = []
+        real_rref = resolution.rref
+
+        def counted_rref(rows):
+            rref_calls.append(len(rows))
+            return real_rref(rows)
+
+        monkeypatch.setattr(resolution, "_decide_level", lambda supports, dim: None)
+        monkeypatch.setattr(resolution, "rref", counted_rref)
+        got = [speciality_oracle(params, x, y, 8) for params, x, y in _criterion9_modules()]
+        assert got == expected
+        assert len(rref_calls) >= len(expected)
+        assert {r.special for r in got} == {True, False}
 
 
 class TestDot:
