@@ -2,8 +2,9 @@
 
 Three independent characterizations of the set I(r, a) live here: the
 defining recursion, a brute-force monomial-grid enumeration, and a residue
-criterion.  They are cross-checked against each other in the test suite, so
-any one of them can serve as the oracle for the other two.
+criterion.  They are cross-checked against each other by the test suite and
+by ``starres sweep`` (``sweeps.sweep_iseries``), so any one of them can serve
+as the oracle for the other two.
 """
 
 from __future__ import annotations
@@ -124,23 +125,29 @@ def ito_region(r: int, a: int) -> WeightGrid:
     """Brute-force the off-axis monomial region for the 1/r(1, a) action.
 
     A monomial x^i y^j has weight (i + a*j) mod r; it is dropped when some
-    nonunit invariant monomial divides it.  Quadratic in r, which is fine at
-    the scales the characterization is used for.
+    nonunit invariant monomial divides it.  Those invariants are exactly
+    x^((-a*l) mod r) y^l for 1 <= l < r, so (i, j) survives exactly when i
+    is below the staircase height h_j = min over l <= j of (-a*l) mod r.
+    The heights never increase, so each row i runs over the columns j with
+    h_j > i, and the region is read off in O(r + |region|) without testing
+    any cell against the invariants.
     """
     _check_range(r, a, allow_equal=False)
     if gcd(r, a) != 1:
         raise PreconditionError(f"grid characterization needs gcd(r, a) = 1, got ({r}, {a})")
-    invariants = [
-        (i, j)
-        for i in range(r)
-        for j in range(r)
-        if (i, j) != (0, 0) and (i + a * j) % r == 0
-    ]
+    heights = []  # heights[j - 1] = h_j, for the columns j with h_j > 1
+    h = r
+    for l in range(1, r):
+        h = min(h, -a * l % r)
+        if h == 1:
+            break
+        heights.append(h)
     region = {}
-    for i in range(1, r):
-        for j in range(1, r):
-            if any(i >= k and j >= l for k, l in invariants):
-                continue
+    width = len(heights)
+    for i in range(1, heights[0] if heights else 1):
+        while heights[width - 1] <= i:
+            width -= 1
+        for j in range(1, width + 1):
             region[(i, j)] = (i + a * j) % r
     return WeightGrid(r, a, region)
 
@@ -162,16 +169,19 @@ def residue_criterion(r: int, a: int, u: int) -> bool:
     """Residue test for u belonging to I(r, r-a).
 
     True iff for every l >= 1 some m in [1, l] satisfies
-    [u + l*a - 1]_r >= [m*a - 1]_r.  Only l in [1, r] need checking: the
-    residues [m*a - 1]_r for m in [1, r] already include 0 (gcd(r, a) = 1),
-    so larger l hold automatically by periodicity.
+    [u + l*a - 1]_r >= [m*a - 1]_r, that is, iff [u + l*a - 1]_r is at least
+    the running minimum of [m*a - 1]_r over m <= l, which is kept as l grows:
+    O(r) per u.  Only l in [1, r] need checking: the residues [m*a - 1]_r for
+    m in [1, r] already include 0 (gcd(r, a) = 1), so larger l hold
+    automatically by periodicity.
     """
     if gcd(r, a) != 1:
         raise PreconditionError(f"residue criterion needs gcd(r, a) = 1, got ({r}, {a})")
     if not 0 <= u <= r - 1:
         raise PreconditionError(f"need 0 <= u <= r-1, got u={u}, r={r}")
+    low = r
     for l in range(1, r + 1):
-        lhs = residue(u + l * a - 1, r)
-        if all(lhs < residue(m * a - 1, r) for m in range(1, l + 1)):
+        low = min(low, (l * a - 1) % r)
+        if (u + l * a - 1) % r < low:
             return False
     return True

@@ -128,14 +128,19 @@ def is_negative_definite(m: IntersectionMatrix) -> bool:
 
 
 def pair(m: IntersectionMatrix, a, b) -> Fraction:
-    """The bilinear pairing a^T M b of two cycles."""
+    """The bilinear pairing a^T M b of two cycles, as a Fraction.
+
+    Only the nonzero components of a and b and the nonzero entries of their
+    rows and columns are summed.
+    """
     if len(a) != m.size or len(b) != m.size:
         raise PreconditionError("cycle length does not match the matrix")
-    return sum(
-        Fraction(a[i]) * m.entries[i][j] * Fraction(b[j])
-        for i in range(m.size)
-        for j in range(m.size)
-    )
+    b_nonzero = [(j, Fraction(bj)) for j, bj in enumerate(b) if bj]
+    total = Fraction(0)
+    for ai, row in zip(a, m.entries):
+        if ai:
+            total += Fraction(ai) * sum([row[j] * bj for j, bj in b_nonzero if row[j]])
+    return total
 
 
 def _pair_with_vertex(m: IntersectionMatrix, z, i: int):
@@ -181,13 +186,25 @@ def fundamental_cycle(m: IntersectionMatrix) -> tuple[int, ...]:
     return tuple(_laufer(m, _eliminate_tree(m))[0])
 
 
+# The largest box fundamental_cycle_brute enumerates: 4^10 points, ten
+# vertices at the default bound.
+_BRUTE_MAX_POINTS = 4**10
+
+
 def fundamental_cycle_brute(m: IntersectionMatrix, bound: int = 4) -> tuple[int, ...]:
     """Independent oracle: componentwise minimum over the box [1, bound]^V.
 
     Enumerates every candidate cycle in the box satisfying Z . E_i <= 0 for
     all i and returns the coordinatewise minimum, verifying it is itself a
-    candidate (the theory guarantees a unique smallest element).
+    candidate (the theory guarantees a unique smallest element).  A box of
+    more than 4^10 points raises PreconditionError before anything is
+    enumerated.
     """
+    points = bound**m.size
+    if points > _BRUTE_MAX_POINTS:
+        raise PreconditionError(
+            f"brute-force box [1, {bound}]^{m.size} has {points} points, more than 4^10"
+        )
     candidates = [
         z
         for z in product(range(1, bound + 1), repeat=m.size)

@@ -19,7 +19,7 @@ from .gradedring import RingElement, affine_value, graded_basis, graded_dim, rin
 from .hj import hj_expand
 from .intersection import cycle_pairings, matrix_from_graph
 from .lgroup import LElement, Parameters, l_neg, l_scale, normal_form, special_elements
-from .resolution import DualGraph, ModuleLabel, dual_graph, specials
+from .resolution import DualGraph, ModuleLabel, _specials_on, dual_graph, specials
 
 
 def _pos(value) -> int:
@@ -103,7 +103,7 @@ def quiver_combinatorial(params: Parameters, x: LElement) -> QuiverData:
     v = len(g.arms)
     if v <= 1:
         raise PreconditionError("combinatorial quiver needs at least two arms")
-    labels = specials(params, x)
+    labels = _specials_on(params, x, g)
     k = g.size
     a = x.c_coeff
     arrows = [[0] * (k + 1) for _ in range(k + 1)]

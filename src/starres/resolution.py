@@ -191,10 +191,13 @@ def specials(params: Parameters, x: LElement) -> tuple[ModuleLabel, ...]:
     carries S(u*x_j) for u in I(p_j, p_j - a_j) minus its endpoints, ordered
     outward by decreasing u.
     """
-    _require_valid(params, x)
-    if in_interval_0_c(x):
+    return _specials_on(params, x, dual_graph(params, x))
+
+
+def _specials_on(params: Parameters, x: LElement, g: DualGraph) -> tuple[ModuleLabel, ...]:
+    """``specials`` on the dual graph g of x, already built and checked."""
+    if "non-minimal" in g.flags:
         raise NotMinimalError("special modules are defined via the minimal resolution")
-    g = dual_graph(params, x)
     out = [ModuleLabel("free"), ModuleLabel("c", vertex=g.center)]
     for arm_idx, j in enumerate(g.arm_sources):
         p, aj = params.weights[j], x.arms[j]

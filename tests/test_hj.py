@@ -118,6 +118,36 @@ class TestJSeries:
             j_series(5, 5)
 
 
+def _coprime_pairs(rmax):
+    return [(r, a) for r in range(2, rmax + 1) for a in range(1, r) if gcd(r, a) == 1]
+
+
+def _region_by_scan(r, a):
+    """The region by testing every cell against every nonunit invariant."""
+    invariants = [
+        (i, j)
+        for i in range(r)
+        for j in range(r)
+        if (i, j) != (0, 0) and (i + a * j) % r == 0
+    ]
+    region = {}
+    for i in range(1, r):
+        for j in range(1, r):
+            if any(i >= k and j >= l for k, l in invariants):
+                continue
+            region[(i, j)] = (i + a * j) % r
+    return region
+
+
+def _residue_by_rescan(r, a, u):
+    """The residue criterion rescanning [m*a - 1]_r over m <= l for every l."""
+    for l in range(1, r + 1):
+        lhs = residue(u + l * a - 1, r)
+        if all(lhs < residue(m * a - 1, r) for m in range(1, l + 1)):
+            return False
+    return True
+
+
 class TestGrid:
     def test_17_10(self):
         assert ito_oracle(17, 10) == {0, 1, 2, 3, 10, 17}
@@ -155,6 +185,13 @@ class TestGrid:
         with pytest.raises(PreconditionError):
             ito_oracle(6, 2)
 
+    def test_staircase_equals_cell_scan(self):
+        pairs = _coprime_pairs(60)
+        assert len(pairs) == 1101
+        for r, a in pairs:
+            region = ito_region(r, a).region
+            assert region == _region_by_scan(r, a), (r, a)
+
 
 class TestResidue:
     def test_values(self):
@@ -172,16 +209,16 @@ class TestResidue:
         with pytest.raises(PreconditionError):
             residue_criterion(6, 2, 1)
 
+    def test_running_minimum_equals_rescan(self):
+        for r, a in _coprime_pairs(60):
+            for u in range(r):
+                assert residue_criterion(r, a, u) == _residue_by_rescan(r, a, u), (r, a, u)
+
 
 class TestOracleTriangle:
     def test_all_three_agree(self):
-        for r in range(2, 26):
-            for a in range(1, r):
-                if gcd(r, a) != 1:
-                    continue
-                rec = i_set(r, a)
-                grid = ito_oracle(r, a)
-                res = frozenset(
-                    u for u in range(r) if residue_criterion(r, r - a, u)
-                ) | {r}
-                assert rec == grid == res, (r, a)
+        for r, a in _coprime_pairs(60):
+            rec = i_set(r, a)
+            grid = ito_oracle(r, a)
+            res = frozenset(u for u in range(r) if residue_criterion(r, r - a, u)) | {r}
+            assert rec == grid == res, (r, a)

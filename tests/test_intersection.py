@@ -297,6 +297,14 @@ class TestFundamentalCycle:
             seen += 1
             assert fundamental_cycle(m) == fundamental_cycle_brute(m)
 
+    def test_brute_box_capped_before_enumerating(self):
+        # 4^11 points at the default bound: refused at once, not scanned
+        m = chain_matrix([-2] * 11)
+        with pytest.raises(PreconditionError, match="4194304 points"):
+            fundamental_cycle_brute(m)
+        # the cap counts points, not vertices: 2^11 points are scanned
+        assert fundamental_cycle_brute(m, bound=2) == fundamental_cycle(m)
+
     def test_requires_negative_definite(self):
         with pytest.raises(PreconditionError):
             fundamental_cycle(IntersectionMatrix(((0,),)))
@@ -345,7 +353,43 @@ class TestCanonicalCycle:
             canonical_cycle(IntersectionMatrix(((0,),)))
 
 
+def pair_dense(m, a, b):
+    """a^T M b as the double sum over every entry."""
+    return Fraction(sum(a[i] * m.entries[i][j] * b[j] for i in range(m.size) for j in range(m.size)))
+
+
+def random_cycle(rng, k, kind):
+    """A cycle of int or Fraction components, about half of them zero."""
+    if kind == "unit":
+        return tuple(int(j == rng.randrange(k)) for j in range(k))
+    z = [0 if rng.random() < 0.5 else rng.randint(-5, 5) for _ in range(k)]
+    if kind == "fraction":
+        z = [Fraction(c, rng.randint(1, 7)) for c in z]
+    return tuple(z)
+
+
 class TestPair:
+    def test_matches_dense_double_sum(self):
+        rng = random.Random(15)
+        kinds = [
+            ("int", "int"),
+            ("int", "unit"),
+            ("fraction", "int"),
+            ("unit", "fraction"),
+            ("fraction", "fraction"),
+        ]
+        for m in TestTreePivots.MATS:
+            for ka, kb in kinds:
+                a, b = random_cycle(rng, m.size, ka), random_cycle(rng, m.size, kb)
+                value = pair(m, a, b)
+                assert type(value) is Fraction
+                assert value == pair_dense(m, a, b)
+
+    def test_zero_cycle_is_a_fraction(self):
+        m = chain_matrix([-2, -3, -2])
+        assert type(pair(m, (0, 0, 0), (1, 1, 1))) is Fraction
+        assert pair(m, (0, 0, 0), (1, 1, 1)) == 0
+
     def test_self_intersection(self):
         m = chain_matrix([-2, -3])
         assert pair(m, (1, 0), (1, 0)) == -2

@@ -136,6 +136,29 @@ class TestCrossConstruction:
         with pytest.raises(PreconditionError):
             quiver_combinatorial(params, normal_form(params, [0, 2, 0], 1))
 
+    def test_one_arm_error_comes_before_not_minimal(self):
+        # x = x3 lies in [0, c] and has one arm: the arm count is refused first
+        params = Parameters([2, 3, 3])
+        with pytest.raises(PreconditionError) as exc:
+            quiver_combinatorial(params, normal_form(params, [0, 0, 1], 0))
+        assert type(exc.value) is PreconditionError
+
+    def test_builds_the_dual_graph_once(self, monkeypatch):
+        import starres.reconalg
+        import starres.resolution
+
+        expected = quiver_from_intersection(dual_graph(P355, X355), specials(P355, X355))
+        calls = []
+
+        def counted(params, x):
+            calls.append(x)
+            return dual_graph(params, x)
+
+        monkeypatch.setattr(starres.reconalg, "dual_graph", counted)
+        monkeypatch.setattr(starres.resolution, "dual_graph", counted)
+        assert quiver_combinatorial(P355, X355) == expected
+        assert len(calls) == 1
+
     def test_dot_export(self):
         dot = quiver_to_dot(quiver_combinatorial(P355, X355))
         assert "color=red" in dot and "color=black" in dot
