@@ -35,8 +35,6 @@ from .gradedring import (
     graded_dim,
     multiply,
     piece_product,
-    subspace_equal,
-    subspace_sum,
 )
 from .intersection import (
     IntersectionMatrix,

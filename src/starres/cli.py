@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -191,11 +190,8 @@ def _cmd_domestic(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seed = args.seed
-    if "STARRES_SEED" in os.environ:
-        seed = int(os.environ["STARRES_SEED"])
     counterexample = run_all(
-        seed=seed, rmax=args.rmax, count=args.count, l_max=args.lmax, log=print
+        seed=args.seed, rmax=args.rmax, count=args.count, l_max=args.lmax, log=print
     )
     if counterexample is not None:
         _emit(counterexample)

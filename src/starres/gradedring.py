@@ -168,10 +168,6 @@ def _reduce_term(params: Parameters, coeff: Fraction, t0: int, t1: int, arms) ->
     return {(a, b, arms_t): v for (a, b), v in tparts.items() if v != 0}
 
 
-def ring_zero(params: Parameters) -> RingElement:
-    return RingElement(params, {})
-
-
 def ring_one(params: Parameters) -> RingElement:
     return RingElement.from_monomial(params, 1)
 
@@ -187,14 +183,10 @@ def x_gen(params: Parameters, i: int) -> RingElement:
 
 
 def as_element(params: Parameters, value) -> RingElement:
+    """A RingElement as it is, or a Monomial as a one-term element."""
     if isinstance(value, RingElement):
         return value
-    if isinstance(value, Monomial):
-        return RingElement.from_monomial(params, value.coeff, value.t0, value.t1, value.arms)
-    return sum(
-        (RingElement.from_monomial(params, m.coeff, m.t0, m.t1, m.arms) for m in value),
-        ring_zero(params),
-    )
+    return RingElement.from_monomial(params, value.coeff, value.t0, value.t1, value.arms)
 
 
 def multiply(params: Parameters, u, v) -> RingElement:
@@ -269,18 +261,6 @@ def span(piece: GradedPiece, elements) -> Subspace:
     return Subspace(piece, rows)
 
 
-def zero_subspace(piece: GradedPiece) -> Subspace:
-    return Subspace(piece, ())
-
-
-def full_subspace(piece: GradedPiece) -> Subspace:
-    rows = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(piece.dim))
-        for i in range(piece.dim)
-    )
-    return Subspace(piece, rows)
-
-
 def _support(y: LElement, z: LElement) -> list[int]:
     """Arms i with y_i + z_i >= p_i: each carries into c when y and z are added.
 
@@ -322,17 +302,3 @@ def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:
     from .linalg import rref
 
     return Subspace(graded_basis(params, y + z), rref(_product_rows(params, y, z)))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    from .linalg import rref
-
-    if a.piece != b.piece:
-        raise ParameterError("subspaces live in different graded pieces")
-    return Subspace(a.piece, rref(list(a.rows) + list(b.rows)))
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    if a.piece != b.piece:
-        raise ParameterError("subspaces live in different graded pieces")
-    return a.rows == b.rows

@@ -22,6 +22,11 @@ nothing sums over a dense row:
   back-substitution from the roots;
 - the Laufer loop keeps Z . E_i for every vertex and, after an increment,
   revisits only the incremented vertex and its neighbours (Laufer 1972).
+
+Every public function makes its own pass.  The quiver of
+``reconalg.quiver_from_intersection`` needs only Z_f from here: the
+pairings Z_K . E_i = E_i^2 + 2 are fixed by adjunction, so it solves for
+no canonical cycle.
 """
 
 from __future__ import annotations
@@ -147,13 +152,16 @@ def _pair_with_vertex(m: IntersectionMatrix, z, i: int):
     return sum(zj * m.entries[i][j] for j, zj in enumerate(z))
 
 
-def _laufer(m: IntersectionMatrix, tree: _Tree) -> tuple[list[int], list[int]]:
-    """Z_f by Laufer increments from E_0, and Z_f . E_i for every vertex.
+def fundamental_cycle(m: IntersectionMatrix) -> tuple[int, ...]:
+    """Laufer increments from the lowest-index vertex.
 
-    ``work`` holds every vertex that was hot (Z . E_i > 0) when last
-    touched; an increment of E_i changes Z . E_j only for j = i and the
-    neighbours of i, so only those are pushed again.
+    Start at Z = E_0; while some Z . E_i > 0, add E_i.  The result is the
+    unique smallest positive cycle pairing nonpositively with every vertex,
+    independent of increment order.  ``work`` holds every vertex that was
+    hot (Z . E_i > 0) when last touched; an increment of E_i changes Z . E_j
+    only for j = i and the neighbours of i, so only those are pushed again.
     """
+    tree = _eliminate_tree(m)
     if not _definite(tree):
         raise PreconditionError("fundamental cycle needs a negative definite matrix")
     entries, neighbours = m.entries, tree.neighbours
@@ -173,17 +181,7 @@ def _laufer(m: IntersectionMatrix, tree: _Tree) -> tuple[list[int], list[int]]:
             dots[j] += w
             if dots[j] > 0:
                 work.append(j)
-    return z, dots
-
-
-def fundamental_cycle(m: IntersectionMatrix) -> tuple[int, ...]:
-    """Laufer increments from the lowest-index vertex.
-
-    Start at Z = E_0; while some Z . E_i > 0, add E_i.  The result is the
-    unique smallest positive cycle pairing nonpositively with every vertex,
-    independent of increment order.
-    """
-    return tuple(_laufer(m, _eliminate_tree(m))[0])
+    return tuple(z)
 
 
 # The largest box fundamental_cycle_brute enumerates: 4^10 points, ten
@@ -229,11 +227,19 @@ def is_reduced(z) -> bool:
     return all(c == 1 for c in coeffs)
 
 
-def _canonical(m: IntersectionMatrix, tree: _Tree) -> list[Fraction]:
-    """Solve Z . E_i = E_i^2 + 2 over the pivots: leaves up, then roots down."""
-    entries, order, parent, pivots = m.entries, tree.order, tree.parent, tree.pivots
+def canonical_cycle(m: IntersectionMatrix) -> tuple[Fraction, ...]:
+    """The rational cycle Z with Z . E_i = E_i^2 + 2 for every vertex.
+
+    Solved over the pivots: leaves up, then roots down.  Raises
+    PreconditionError unless the matrix is symmetric with a forest as
+    off-diagonal support and every leaf-to-root pivot is nonzero.  Only a
+    matrix that is neither negative nor positive definite can have a zero
+    pivot, and it is refused even where it is invertible.
+    """
+    order, parent, _neighbours, pivots = _eliminate_tree(m)
     if None in pivots:
         raise PreconditionError("canonical cycle needs nonzero leaf-to-root pivots")
+    entries = m.entries
     rhs = [entries[i][i] + 2 for i in range(m.size)]
     for v in reversed(order):
         p = parent[v]
@@ -243,31 +249,4 @@ def _canonical(m: IntersectionMatrix, tree: _Tree) -> list[Fraction]:
     for v in order:
         p = parent[v]
         z[v] = (rhs[v] if p < 0 else rhs[v] - entries[v][p] * z[p]) / pivots[v]
-    return z
-
-
-def canonical_cycle(m: IntersectionMatrix) -> tuple[Fraction, ...]:
-    """The rational cycle Z with Z . E_i = E_i^2 + 2 for every vertex.
-
-    Raises PreconditionError unless the matrix is symmetric with a forest as
-    off-diagonal support and every leaf-to-root pivot is nonzero.  Only a
-    matrix that is neither negative nor positive definite can have a zero
-    pivot, and it is refused even where it is invertible.
-    """
-    return tuple(_canonical(m, _eliminate_tree(m)))
-
-
-def cycle_pairings(m: IntersectionMatrix):
-    """``(Z_f, Z_f . E_i, Z_K . E_i)`` from one pass over the matrix.
-
-    The pairings are lists over the vertices.  Z_K . E_i is summed over
-    neighbour lists, so it checks the solve rather than restating it.
-    """
-    tree = _eliminate_tree(m)
-    zf, zf_dots = _laufer(m, tree)
-    zk = _canonical(m, tree)
-    zk_dots = [
-        m.entries[i][i] * zk[i] + sum([w * zk[j] for j, w in tree.neighbours[i]])
-        for i in range(m.size)
-    ]
-    return tuple(zf), zf_dots, zk_dots
+    return tuple(z)

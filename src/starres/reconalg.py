@@ -3,7 +3,9 @@ plus the explicit presentation of the degree-one Veronese and the Dynkin
 (domestic) classification.
 
 Route one reads arrow and relation counts off the intersection theory of the
-dual graph (fundamental and canonical cycles).  Route two is purely
+dual graph, in integers: the fundamental cycle Z_f by Laufer increments and
+the canonical pairings Z_K . E_i = E_i^2 + 2 by adjunction, with no solve
+for Z_K.  Route two is purely
 combinatorial: double the dual graph, add an extending vertex, and attach
 extra arrows governed by the labels.  The two must agree, and that equality
 is the module's central test.
@@ -13,21 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotMinimalError, ParameterError, PreconditionError, StarresError
 from .gradedring import RingElement, affine_value, graded_basis, graded_dim, ring_one, span
 from .hj import hj_expand
-from .intersection import cycle_pairings, matrix_from_graph
+from .intersection import fundamental_cycle, matrix_from_graph
 from .lgroup import LElement, Parameters, l_neg, l_scale, normal_form, special_elements
 from .resolution import DualGraph, ModuleLabel, _specials_on, dual_graph, specials
-
-
-def _pos(value) -> int:
-    return int(value) if value > 0 else 0
-
-
-def _neg(value) -> int:
-    return -int(value) if value < 0 else 0
 
 
 @dataclass(frozen=True)
@@ -63,24 +58,31 @@ def _names_from_labels(g: DualGraph, labels) -> tuple[str, ...]:
 
 
 def quiver_from_intersection(g: DualGraph, labels=None) -> QuiverData:
-    """Arrow and relation counts from the cycle pairing of a minimal graph."""
+    """Arrow and relation counts from the cycle pairings of a minimal graph.
+
+    Z_f comes from ``fundamental_cycle`` (Laufer increments, which refuse a
+    matrix that is not negative definite) and Z_f . E_i is summed over the
+    integer rows of the matrix.  Adjunction fixes Z_K . E_i = E_i^2 + 2, so
+    the counts at the extending vertex need no canonical cycle and every
+    count is an integer.
+    """
     if any(l >= -1 for l in g.labels):
         raise NotMinimalError("quiver counts need all self-intersections <= -2")
     m = matrix_from_graph(g)
-    zf, zfdot, zkdot = cycle_pairings(m)
+    zf = fundamental_cycle(m)
     k = g.size
     arrows = [[0] * (k + 1) for _ in range(k + 1)]
     relations = [[0] * (k + 1) for _ in range(k + 1)]
+    zf_self = 0
     for i, row in enumerate(m.entries):
         arrows[i][:k] = [x if x > 0 else 0 for x in row]  # the diagonal is <= -2
         relations[i][:k] = [-1 - x if x < -1 else 0 for x in row]
-        arrows[i][k] = _pos(-zfdot[i])
-        diff = zkdot[i] - zfdot[i]
-        if Fraction(diff).denominator != 1:
-            raise StarresError("canonical pairing against a vertex must be integral")
-        arrows[k][i] = _pos(diff)
-        relations[k][i] = _neg(diff)
-    zf_self = sum(zfdot[i] * zf[i] for i in range(k))
+        zf_dot = sum(map(mul, row, zf))
+        arrows[i][k] = max(-zf_dot, 0)
+        diff = row[i] + 2 - zf_dot  # Z_K . E_i - Z_f . E_i
+        arrows[k][i] = max(diff, 0)
+        relations[k][i] = max(-diff, 0)
+        zf_self += zf_dot * zf[i]
     relations[k][k] = -1 - zf_self
     return QuiverData(
         vertices=_names_from_labels(g, labels),

@@ -168,11 +168,14 @@ def sweep_cycles(count: int = 100, seed: int = 0, brute_max_size: int = 8):
 
 
 def sweep_quiver(count: int = 50, seed: int = 0):
-    """Cross-construction equality of the two quiver routes."""
+    """Cross-construction equality of the two quiver routes.
+
+    Weights are drawn up to 200, so dual graphs reach hundreds of vertices.
+    """
     _require_count(count)
     rng = random.Random(seed)
     for _ in range(count):
-        params, x = random_element(rng, min_v=2)
+        params, x = random_element(rng, min_v=2, pmax=200)
         combin = quiver_combinatorial(params, x)
         inter = quiver_from_intersection(dual_graph(params, x), specials(params, x))
         if combin != inter:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and output stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# README commands with their stdout recorded byte for byte
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_golden.json").read_text("utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN[name]["argv"])
+    assert code == 0
+    assert out == GOLDEN[name]["stdout"]
 
 
 class TestISeries:
@@ -155,11 +169,6 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--rmax", "12", "--count", "6")
         assert code == 0
         assert "quiver: ok" in out
-
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("STARRES_SEED", "3")
-        code, _, _ = run(capsys, "sweep", "--rmax", "8", "--count", "4", "--seed", "999")
-        assert code == 0
 
     def test_unrefuted_module_is_no_counterexample(self, capsys):
         # l_max = 1 leaves some nonspecial modules without a witness

@@ -1,4 +1,4 @@
-"""Graded pieces, quotient-ring rewriting, and subspace arithmetic."""
+"""Graded pieces, quotient-ring rewriting, spans and piece products."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from starres.errors import ParameterError, PreconditionError
 from starres.gradedring import (
     Monomial,
     RingElement,
-    full_subspace,
     graded_basis,
     graded_dim,
     linear_form,
@@ -17,11 +16,8 @@ from starres.gradedring import (
     piece_product,
     ring_one,
     span,
-    subspace_equal,
-    subspace_sum,
     t_gen,
     x_gen,
-    zero_subspace,
 )
 from starres.lgroup import (
     Parameters,
@@ -159,7 +155,7 @@ class TestPieceProduct:
         c = c_element(params)
         product = piece_product(params, c, c)
         assert product.dim == 3
-        assert subspace_equal(product, full_subspace(product.piece))
+        assert product.dim == product.piece.dim
 
     def test_x1_squared_is_a_line(self):
         params = Parameters([2, 3, 3])
@@ -169,7 +165,7 @@ class TestPieceProduct:
         assert graded_dim(params, l_add(x1, x1)) == 2
         # the line is spanned by x1^2 = t1
         expected = span(product.piece, [x_gen(params, 0) * x_gen(params, 0)])
-        assert subspace_equal(product, expected)
+        assert product == expected
 
     def test_empty_factor_gives_zero(self):
         params = Parameters([2, 3])
@@ -204,7 +200,7 @@ class TestPieceProduct:
                 [core * RingElement.from_monomial(params, m.coeff, m.t0, m.t1, m.arms)
                  for m in graded_basis(params, shifted).basis],
             )
-            assert subspace_equal(piece_product(params, y, diff), rhs)
+            assert piece_product(params, y, diff) == rhs
 
     def test_matches_basis_products_on_any_points(self):
         # the integer form prod(w_i*t0 - u_i*t1) spans what the ring's own
@@ -228,36 +224,10 @@ class TestPieceProduct:
                 for b in graded_basis(params, z).basis
             ]
             expected = span(graded_basis(params, l_add(y, z)), products)
-            assert subspace_equal(piece_product(params, y, z), expected)
+            assert piece_product(params, y, z) == expected
 
 
 class TestSubspaces:
-    def test_sum_with_zero_and_idempotence(self):
-        params = Parameters([2, 3, 3])
-        c2 = l_scale(2, c_element(params))
-        piece = graded_basis(params, c2)
-        sub = span(piece, [t_gen(params, 0) * t_gen(params, 0)])
-        assert subspace_sum(sub, zero_subspace(piece)) == sub
-        assert subspace_sum(sub, sub) == sub
-
-    def test_sum_spans_both(self):
-        params = Parameters([2, 3])
-        c2 = l_scale(2, c_element(params))
-        piece = graded_basis(params, c2)
-        t0, t1 = t_gen(params, 0), t_gen(params, 1)
-        a = span(piece, [t0 * t0])
-        b = span(piece, [t1 * t1, t0 * t1])
-        total = subspace_sum(a, b)
-        assert total.dim == 3
-        assert subspace_equal(total, full_subspace(piece))
-
-    def test_ambient_mismatch(self):
-        params = Parameters([2, 3])
-        p1 = graded_basis(params, c_element(params))
-        p2 = graded_basis(params, l_scale(2, c_element(params)))
-        with pytest.raises(ParameterError):
-            subspace_sum(zero_subspace(p1), zero_subspace(p2))
-
     def test_coords_outside_piece_rejected(self):
         params = Parameters([2, 3])
         piece = graded_basis(params, c_element(params))

@@ -28,7 +28,7 @@ from starres.reconalg import (
     wahl_special_ideals,
     wahl_verify,
 )
-from starres.resolution import dual_graph, specials
+from starres.resolution import dual_graph, make_star, specials
 
 
 P355 = Parameters([3, 5, 5])
@@ -65,6 +65,12 @@ class TestIntersectionRoute:
         g = dual_graph(params, normal_form(params, [0, 2, 0], 0))
         with pytest.raises(PreconditionError):
             quiver_from_intersection(g)
+
+    def test_semidefinite_star_rejected(self):
+        # the affine D4 star: every label is <= -2, but the matrix is only
+        # negative semidefinite, so the fundamental cycle refuses it
+        with pytest.raises(PreconditionError):
+            quiver_from_intersection(make_star(-2, [[-2]] * 4))
 
     def test_star_relation_identity(self):
         # -Z_K . Z_f + 1 agrees with -1 - Z_f . Z_f on resolution graphs
@@ -106,9 +112,15 @@ class TestCrossConstruction:
             assert qc.arrows[g.center][qc.star] == k
 
     def test_random_agreement(self):
+        # small stars, then 3-4 arm stars of weights up to 80 and at least
+        # 40 vertices
         rng = random.Random(17)
-        for _ in range(20):
-            params, x = random_valid(rng)
+        inputs = [random_valid(rng) for _ in range(20)]
+        while len(inputs) < 30:
+            params, x = random_valid(rng, min_v=3, pmax=80)
+            if dual_graph(params, x).size >= 40:
+                inputs.append((params, x))
+        for params, x in inputs:
             qc = quiver_combinatorial(params, x)
             qi = quiver_from_intersection(dual_graph(params, x), specials(params, x))
             assert qc == qi, (params.weights, x)
