@@ -190,9 +190,7 @@ def _cmd_domestic(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    counterexample = run_all(
-        seed=args.seed, rmax=args.rmax, count=args.count, l_max=args.lmax, log=print
-    )
+    counterexample = run_all(seed=args.seed, rmax=args.rmax, count=args.count, log=print)
     if counterexample is not None:
         _emit(counterexample)
         return 1
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--rmax", type=_at_least(2), default=40)
     p_sweep.add_argument("--count", type=_at_least(1), default=50)
-    p_sweep.add_argument("--lmax", type=_at_least(1), default=8)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ParameterError, PreconditionError
-from .lgroup import LElement, Parameters
+from .lgroup import LElement, Parameters, l_add
 
 TermKey = tuple[int, int, tuple[int, ...]]
 
@@ -172,31 +172,13 @@ def ring_one(params: Parameters) -> RingElement:
     return RingElement.from_monomial(params, 1)
 
 
-def t_gen(params: Parameters, which: int) -> RingElement:
-    return RingElement.from_monomial(params, 1, t0=1 - which, t1=which)
-
-
-def x_gen(params: Parameters, i: int) -> RingElement:
-    arms = [0] * params.n
-    arms[i] = 1
-    return RingElement.from_monomial(params, 1, arms=arms)
-
-
-def as_element(params: Parameters, value) -> RingElement:
-    """A RingElement as it is, or a Monomial as a one-term element."""
-    if isinstance(value, RingElement):
-        return value
-    return RingElement.from_monomial(params, value.coeff, value.t0, value.t1, value.arms)
-
-
-def multiply(params: Parameters, u, v) -> RingElement:
+def multiply(params: Parameters, u: RingElement, v: RingElement) -> RingElement:
     """Product in the quotient ring, fully reduced."""
-    ue, ve = as_element(params, u), as_element(params, v)
-    if ue.params != params or ve.params != params:
+    if u.params != params or v.params != params:
         raise ParameterError("factors belong to rings with different parameters")
     terms: dict[TermKey, Fraction] = {}
-    for (a0, a1, fa), ca in ue.terms.items():
-        for (b0, b1, fb), cb in ve.terms.items():
+    for (a0, a1, fa), ca in u.terms.items():
+        for (b0, b1, fb), cb in v.terms.items():
             raw = tuple(x + y for x, y in zip(fa, fb))
             for key, val in _reduce_term(params, ca * cb, a0 + b0, a1 + b1, raw).items():
                 terms[key] = terms.get(key, Fraction(0)) + val
@@ -301,4 +283,4 @@ def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:
     """
     from .linalg import rref
 
-    return Subspace(graded_basis(params, y + z), rref(_product_rows(params, y, z)))
+    return Subspace(graded_basis(params, l_add(y, z)), rref(_product_rows(params, y, z)))

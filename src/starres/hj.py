@@ -27,9 +27,6 @@ class HJExpansion:
     a: int
     alphas: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.alphas)
-
 
 @dataclass(frozen=True)
 class ISeries:

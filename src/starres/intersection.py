@@ -49,9 +49,6 @@ class IntersectionMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
 
 def matrix_from_graph(graph) -> IntersectionMatrix:
     """Build the pairing matrix from anything carrying .labels and .edges."""

@@ -10,6 +10,7 @@ arithmetic needs them; the group laws only ever look at the weights.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -31,6 +32,14 @@ def canonical_point(u, w) -> tuple[int, int]:
     return a, b
 
 
+def _as_int(value, what: str) -> int:
+    """value as an exact int; a float or a Fraction is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 def default_points(n: int) -> tuple[tuple[int, int], ...]:
     """(1:0), (0:1), (1:1), (2:1), (3:1), ... -- pairwise distinct for any n."""
     pts = [(1, 0), (0, 1)]
@@ -46,7 +55,7 @@ class Parameters:
     points: tuple[tuple[int, int], ...]
 
     def __init__(self, weights: Iterable[int], points=None):
-        weights = tuple(int(p) for p in weights)
+        weights = tuple(_as_int(p, "weight") for p in weights)
         if any(p < 2 for p in weights):
             raise ParameterError(f"weights must all be >= 2, got {weights}")
         if points is None:
@@ -70,10 +79,6 @@ class Parameters:
         return len(self.weights)
 
     @property
-    def lcm(self) -> int:
-        return math.lcm(*self.weights) if self.weights else 1
-
-    @property
     def is_normalized(self) -> bool:
         """First two points are (1:0) and (0:1)."""
         return self.n >= 2 and self.points[0] == (1, 0) and self.points[1] == (0, 1)
@@ -93,18 +98,6 @@ class LElement:
     weights: tuple[int, ...]
     arms: tuple[int, ...]
     c_coeff: int
-
-    def __add__(self, other: "LElement") -> "LElement":
-        return l_add(self, other)
-
-    def __sub__(self, other: "LElement") -> "LElement":
-        return l_add(self, l_neg(other))
-
-    def __neg__(self) -> "LElement":
-        return l_neg(self)
-
-    def __rmul__(self, k: int) -> "LElement":
-        return l_scale(k, self)
 
     def __str__(self) -> str:
         parts = [f"{a}x{i + 1}" for i, a in enumerate(self.arms) if a != 0]
@@ -131,11 +124,11 @@ def normal_form(params: Parameters, coeffs: Iterable[int], c: int = 0) -> LEleme
     Each generator exponent is reduced mod p_i and the quotient is carried
     onto the c coefficient.
     """
-    coeffs = [int(e) for e in coeffs]
+    coeffs = [_as_int(e, "coefficient") for e in coeffs]
     if len(coeffs) != params.n:
         raise ParameterError(f"expected {params.n} coefficients, got {len(coeffs)}")
     arms = []
-    carry = int(c)
+    carry = _as_int(c, "c coefficient")
     for e, p in zip(coeffs, params.weights):
         q, r = divmod(e, p)
         arms.append(r)

@@ -12,7 +12,7 @@ I(p_j, p_j - a_j), one module per exceptional curve plus the ring itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
 from .gradedring import _product_rows, _support
@@ -216,14 +216,18 @@ class OracleResult:
         return self.special
 
 
-def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int = 8) -> OracleResult:
+def speciality_oracle(
+    params: Parameters, x: LElement, y: LElement, l_max: int | None = None
+) -> OracleResult:
     """Decide speciality of the shifted module S(y) by graded subspace equations.
 
-    For each l in [1, l_max] checks, inside the graded piece of degree
+    For each level l checks, inside the graded piece of degree
     y + omega + l*x, that the whole piece equals the sum over m in [1, l] of
     the products of the pieces in degrees omega + m*x and y + (l - m)*x.
-    A failing l is returned as the witness; passing every l up to the cutoff
-    is strong evidence, not proof, of speciality.
+    A failing l is returned as the witness.  Every level from the bound L0
+    of ``_levels`` on passes, so the levels below L0 decide speciality and
+    each verdict is a proof.  An optional ``l_max`` caps the levels checked;
+    "special" under a cap below L0 only says that no level up to l_max fails.
 
     Each product is f_Q * S_(dim - 1 - |Q|) for the squarefree binary form
     f_Q, the product of the linear forms of the points in its support Q
@@ -238,7 +242,7 @@ def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int =
     ``rref``'s full-rank certificate, appears on that path only.
     """
     _require_valid(params, x)
-    if l_max < 1:
+    if l_max is not None and l_max < 1:
         raise PreconditionError(f"l_max must be at least 1, got {l_max}")
     if in_interval_0_c(x):
         raise NotMinimalError("the oracle needs x outside [0, c]")
@@ -255,8 +259,8 @@ def speciality_oracle(params: Parameters, x: LElement, y: LElement, l_max: int =
     return OracleResult(True)
 
 
-def _levels(params: Parameters, x: LElement, y: LElement, l_max: int):
-    """Yield (l, dim, pairs) for l in [1, l_max].
+def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
+    """Yield (l, dim, pairs) for l in [1, min(L0 - 1, l_max)].
 
     dim is the dimension of the piece of degree y + omega + l*x, and pairs
     lists the degrees (omega + m*x, y + (l - m)*x), m in [1, l], whose pieces
@@ -264,15 +268,35 @@ def _levels(params: Parameters, x: LElement, y: LElement, l_max: int):
     omega + x has c coefficient n + a - 2 >= 0 for x outside [0, c].  Adding
     two degrees adds their c coefficients plus one per carrying arm, so dim
     needs no further group arithmetic.
+
+    Adding x never lowers a c coefficient, so the right piece is nonempty
+    exactly for l - m >= k0, the least k >= 0 at which y + k*x has c
+    coefficient >= 0.  L0 is the least l >= k0 + max(p) with dim >= 2n
+    (max(p) read as 1 when n = 0, so some pair exists), and every level from
+    L0 on passes:
+    - point i lies in the support of pair m exactly when the arm of
+      omega + m*x at i exceeds the arm of y + omega + l*x at i;
+    - a_i is a unit mod p_i, so any p_i consecutive m include one at which
+      omega + m*x has arm 0 at i, and i is missing from that support;
+    - so once l >= k0 + max(p), no point lies in every support;
+    - binary forms of degree <= n with no common zero generate every degree
+      >= 2n - 1 (two general members of their degree-n part are coprime),
+      which the piece's degree dim - 1 reaches once dim >= 2n.
     """
+    reach = max(params.weights, default=1)
     lefts = [special_elements(params).omega]
     rights = [y]
-    for _ in range(l_max):
+    k0 = 0 if y.c_coeff >= 0 else None
+    for l in count(1) if l_max is None else range(1, l_max + 1):
         lefts.append(l_add(lefts[-1], x))
-        rights.append(l_add(rights[-1], x))
-    for l in range(1, l_max + 1):
+        if l > 1:
+            rights.append(l_add(rights[-1], x))
+            if k0 is None and rights[-1].c_coeff >= 0:
+                k0 = l - 1
         top = lefts[l]
         dim = max(top.c_coeff + y.c_coeff + len(_support(top, y)) + 1, 0)
+        if k0 is not None and l >= k0 + reach and dim >= 2 * params.n:
+            return
         pairs = [(lefts[m], rights[l - m]) for m in range(1, l + 1) if rights[l - m].c_coeff >= 0]
         yield l, dim, pairs
 
@@ -303,8 +327,10 @@ def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:
     return len(rref(rows)) == dim
 
 
-def _speciality_by_rank(params: Parameters, x: LElement, y: LElement, l_max: int) -> OracleResult:
-    """The oracle's answer with every level decided by ``_level_by_rank``.
+def _speciality_by_rank(
+    params: Parameters, x: LElement, y: LElement, l_max: int | None = None
+) -> OracleResult:
+    """The oracle's answer with every level below L0 decided by ``_level_by_rank``.
 
     The second route to each verdict and witness; it skips the oracle's
     preconditions, so call it only on inputs the oracle accepts.

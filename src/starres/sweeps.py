@@ -37,8 +37,12 @@ from .linalg import det, solve
 from .reconalg import quiver_combinatorial, quiver_from_intersection
 from .resolution import _speciality_by_rank, dual_graph, specials, speciality_oracle
 
+AMAX = 3  # largest c coefficient random_element draws
+BRUTE_MAX_SIZE = 8  # largest graph the cycle sweep also solves by brute force
+REDUCE_DEGREES = 8  # the reduction sweep compares graded dimensions of k*x, k <= this
 
-def random_element(rng: random.Random, nmax=4, pmax=6, amax=3, coprime=False, min_v=0):
+
+def random_element(rng: random.Random, nmax=4, pmax=6, coprime=False, min_v=0):
     """A random parameter set and positive element, in normal form."""
     while True:
         n = rng.randint(max(1, min_v), nmax)
@@ -49,7 +53,7 @@ def random_element(rng: random.Random, nmax=4, pmax=6, amax=3, coprime=False, mi
                 arms.append(rng.choice([a for a in range(1, p) if gcd(a, p) == 1]))
             else:
                 arms.append(rng.randint(0, p - 1))
-        a = rng.randint(0, amax)
+        a = rng.randint(0, AMAX)
         params = Parameters(weights)
         x = normal_form(params, arms, a)
         v = sum(1 for ai in x.arms if ai)
@@ -121,7 +125,7 @@ def _minors_negative_definite(m) -> bool:
     )
 
 
-def sweep_cycles(count: int = 100, seed: int = 0, brute_max_size: int = 8):
+def sweep_cycles(count: int = 100, seed: int = 0):
     """Fundamental cycle: reduced, Laufer = brute force, canonical system exact.
 
     Definiteness and the canonical cycle are computed twice, by the tree
@@ -146,7 +150,7 @@ def sweep_cycles(count: int = 100, seed: int = 0, brute_max_size: int = 8):
         zf = fundamental_cycle(m)
         if not is_reduced(zf):
             return {"check": "reduced", **where, "zf": list(zf)}
-        if m.size <= brute_max_size and zf != fundamental_cycle_brute(m):
+        if m.size <= BRUTE_MAX_SIZE and zf != fundamental_cycle_brute(m):
             return {"check": "laufer-vs-brute", **where}
         zk = canonical_cycle(m)
         dense = solve(m.entries, [m.entries[i][i] + 2 for i in range(m.size)])
@@ -189,7 +193,7 @@ def sweep_quiver(count: int = 50, seed: int = 0):
     return None
 
 
-def sweep_reduce(count: int = 20, seed: int = 0, degrees: int = 8):
+def sweep_reduce(count: int = 20, seed: int = 0):
     """Graded dimensions agree before and after parameter reduction."""
     _require_count(count)
     rng = random.Random(seed)
@@ -198,11 +202,9 @@ def sweep_reduce(count: int = 20, seed: int = 0, degrees: int = 8):
         params, x = random_element(rng)
         if all(gcd(p, a) == 1 for p, a in zip(params.weights, x.arms) if a):
             continue
-        if not any(x.arms) and x.c_coeff == 0:
-            continue
         found += 1
         rparams, rx = reduce_parameters(params, x)
-        for k in range(degrees + 1):
+        for k in range(REDUCE_DEGREES + 1):
             before = graded_dim(params, l_scale(k, x))
             after = graded_dim(rparams, l_scale(k, rx))
             if before != after:
@@ -217,7 +219,7 @@ def sweep_reduce(count: int = 20, seed: int = 0, degrees: int = 8):
     return None
 
 
-def _speciality_verdicts(count: int, seed: int, l_max: int):
+def _speciality_verdicts(count: int, seed: int):
     """Yield (where, oracle, by_rank, classified) for every shifted module
     S(u*x_j), 0 <= u <= p_j, of ``count`` seeded inputs.
 
@@ -235,23 +237,21 @@ def _speciality_verdicts(count: int, seed: int, l_max: int):
                 where = {"p": list(params.weights), "x": x.to_json(), "arm": j, "u": u}
                 yield (
                     where,
-                    speciality_oracle(params, x, y, l_max),
-                    _speciality_by_rank(params, x, y, l_max),
+                    speciality_oracle(params, x, y),
+                    _speciality_by_rank(params, x, y),
                     u in values,
                 )
 
 
-def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
+def sweep_speciality(count: int = 3, seed: int = 0):
     """Subspace oracle against the value-set classification, small grid.
 
-    Every level is decided twice, from the product supports and by rank.
-    Without a witness up to l_max a module is unrefuted, not proven special,
-    so one the classification calls nonspecial is skipped; a witness for a
-    module classified special is a counterexample.
+    Every level below the oracle's bound L0 is decided twice, from the
+    product supports and by rank.  Both verdicts are proofs, so every
+    module is compared with the classification.
     """
     _require_count(count)
-    checked = 0
-    for where, oracle, by_rank, classified in _speciality_verdicts(count, seed, l_max):
+    for where, oracle, by_rank, classified in _speciality_verdicts(count, seed):
         if oracle != by_rank:
             return {
                 "check": "certificate-vs-rank",
@@ -261,9 +261,6 @@ def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
                 "rank": by_rank.special,
                 "rank_witness": by_rank.witness,
             }
-        if oracle.special and not classified:
-            continue
-        checked += 1
         if oracle.special != classified:
             return {
                 "check": "speciality-oracle",
@@ -272,12 +269,10 @@ def sweep_speciality(count: int = 3, seed: int = 0, l_max: int = 8):
                 "witness": oracle.witness,
                 "classification": classified,
             }
-    if not checked:
-        return {"check": "speciality-none-checked", "count": count, "seed": seed, "l_max": l_max}
     return None
 
 
-def run_all(seed: int = 0, rmax: int = 40, count: int = 50, l_max: int = 8, log=None):
+def run_all(seed: int = 0, rmax: int = 40, count: int = 50, log=None):
     """Run every sweep; returns the first counterexample or None."""
     checks = [
         ("iseries-triangle", lambda: sweep_iseries(rmax)),
@@ -285,7 +280,7 @@ def run_all(seed: int = 0, rmax: int = 40, count: int = 50, l_max: int = 8, log=
         ("cycles", lambda: sweep_cycles(count, seed)),
         ("quiver", lambda: sweep_quiver(count, seed)),
         ("parameter-reduction", lambda: sweep_reduce(min(count, 20), seed)),
-        ("speciality-oracle", lambda: sweep_speciality(3, seed, l_max)),
+        ("speciality-oracle", lambda: sweep_speciality(3, seed)),
     ]
     for name, check in checks:
         result = check()

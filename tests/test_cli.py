@@ -143,7 +143,7 @@ class TestErrors:
             (["wahl", "--p", "2,3,4", "--max-degree", "-5"], "--max-degree"),
             (["wahl", "--p", "2,3,4", "--max-degree", "0"], "--max-degree"),
             (["sweep", "--count", "0"], "--count"),
-            (["sweep", "--lmax", "0"], "--lmax"),
+            (["sweep", "--count", "-1"], "--count"),
             (["sweep", "--rmax", "1"], "--rmax"),
             (["sweep", "--rmax", "1", "--count", "0"], "--rmax"),
         ],
@@ -169,12 +169,6 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--rmax", "12", "--count", "6")
         assert code == 0
         assert "quiver: ok" in out
-
-    def test_unrefuted_module_is_no_counterexample(self, capsys):
-        # l_max = 1 leaves some nonspecial modules without a witness
-        code, out, _ = run(capsys, "sweep", "--rmax", "4", "--count", "2", "--lmax", "1")
-        assert code == 0
-        assert "speciality-oracle: ok" in out
 
     def test_counterexample_exits_one(self, capsys, monkeypatch):
         import starres.cli as cli

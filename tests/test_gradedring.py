@@ -16,8 +16,6 @@ from starres.gradedring import (
     piece_product,
     ring_one,
     span,
-    t_gen,
-    x_gen,
 )
 from starres.lgroup import (
     Parameters,
@@ -31,6 +29,16 @@ from starres.lgroup import (
     special_elements,
     zero,
 )
+
+
+def t_gen(params, which):
+    """The coordinate t0 (which = 0) or t1 (which = 1)."""
+    return RingElement.from_monomial(params, 1, t0=1 - which, t1=which)
+
+
+def x_gen(params, i):
+    """The generator x_(i+1) as a ring element."""
+    return RingElement.from_monomial(params, 1, arms=[int(k == i) for k in range(params.n)])
 
 
 def rand_positive(rng, params, amax=3):
@@ -218,11 +226,11 @@ class TestPieceProduct:
                 normal_form(params, [rng.randrange(p) for p in weights], rng.randint(0, 2))
                 for _ in range(2)
             )
-            products = [
-                multiply(params, a, b)
-                for a in graded_basis(params, y).basis
-                for b in graded_basis(params, z).basis
-            ]
+            y_basis, z_basis = (
+                [RingElement.from_monomial(params, m.coeff, m.t0, m.t1, m.arms) for m in piece.basis]
+                for piece in (graded_basis(params, y), graded_basis(params, z))
+            )
+            products = [multiply(params, a, b) for a in y_basis for b in z_basis]
             expected = span(graded_basis(params, l_add(y, z)), products)
             assert piece_product(params, y, z) == expected
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,12 @@ class TestParameters:
     def test_rejects_equal_points(self):
         with pytest.raises(ParameterError):
             Parameters([2, 2], [(1, 0), (2, 0)])
+
+    @pytest.mark.parametrize("weights", [[2.5, 3], [Fraction(7, 2)], [3.0], ["3"]])
+    def test_rejects_non_integer_weights(self, weights):
+        # refused, not truncated to (2, 3)
+        with pytest.raises(ParameterError):
+            Parameters(weights)
 
     def test_rejects_zero_point(self):
         with pytest.raises(ParameterError):
@@ -87,6 +94,14 @@ class TestNormalForm:
         for _ in range(50):
             x = rand_element(rng, params)
             assert normal_form(params, x.arms, x.c_coeff) == x
+
+    @pytest.mark.parametrize(
+        "coeffs, c", [([1.9, Fraction(7, 2), 3], 0), ([1, 3, 3], 0.5), ([1, 3, 3], Fraction(1))]
+    )
+    def test_rejects_non_integer_coefficients(self, coeffs, c):
+        # refused, not truncated to 1x1 + 3x2 + 3x3
+        with pytest.raises(ParameterError):
+            normal_form(Parameters([3, 5, 5]), coeffs, c)
 
     def test_wrong_length(self):
         with pytest.raises(ParameterError):

@@ -1,11 +1,13 @@
 """Dual graphs, minimality, blow-downs, special modules, and the oracle."""
 
+import math
 import random
 
 import pytest
 
 from starres import resolution
 from starres.errors import NotMinimalError, PreconditionError
+from starres.gradedring import graded_dim
 from starres.hj import hj_expand, i_set
 from starres.lgroup import (
     LElement,
@@ -13,6 +15,7 @@ from starres.lgroup import (
     c_element,
     canonical_point,
     generator,
+    l_add,
     l_scale,
     normal_form,
     reduce_parameters,
@@ -20,6 +23,7 @@ from starres.lgroup import (
     zero,
 )
 from starres.resolution import (
+    OracleResult,
     _decide_level,
     _level_by_rank,
     _speciality_by_rank,
@@ -251,6 +255,57 @@ class TestOracle:
         with pytest.raises(PreconditionError):
             speciality_oracle(P355, X355, generator(P355, 1), l_max)
 
+    def test_decides_criterion9_modules(self):
+        # uncapped, every verdict is a proof and matches the value sets
+        seen = set()
+        for params, x, y, classified in _criterion9_modules(20):
+            result = speciality_oracle(params, x, y)
+            assert result.special == classified, (params.weights, x, y)
+            assert result.special or result.witness < _level_bound(params, x, y)
+            seen.add(classified)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("c, bound", [(0, 1), (-2, 2)])
+    def test_no_weights(self, c, bound):
+        # n = 0: max(p) is read as 1, so L0 = k0 + 1
+        params = Parameters([])
+        x, y = LElement((), (), 3), LElement((), (), c)
+        assert speciality_oracle(params, x, y) == OracleResult(True)
+        assert _level_bound(params, x, y) == bound
+
+
+def _level_bound(params, x, y):
+    """L0: one past the last level the uncapped oracle checks."""
+    return len(list(resolution._levels(params, x, y, None))) + 1
+
+
+class TestLevelBound:
+    def test_levels_from_bound_pass_by_rank(self):
+        # the tail argument computed twice: each level past L0 is rebuilt from
+        # the group law alone and filled by rank, through a whole period of x
+        rng = random.Random(17)
+        for _ in range(10):
+            params, x = random_element(rng, nmax=3, pmax=4, coprime=True)
+            omega = special_elements(params).omega
+            j = rng.randrange(params.n)
+            pj = params.weights[j]
+            shifts = [l_scale(u, generator(params, j)) for u in range(-pj, pj + 1)]
+            shifts += [  # any degree, below 0 included
+                normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-3, 1))
+                for _ in range(3)
+            ]
+            for y in shifts:
+                start = _level_bound(params, x, y)
+                stop = start + math.lcm(*params.weights) + max(params.weights)
+                for l in range(start, stop + 1):
+                    pairs = [
+                        (l_add(omega, l_scale(m, x)), l_add(y, l_scale(l - m, x)))
+                        for m in range(1, l + 1)
+                    ]
+                    pairs = [(a, b) for a, b in pairs if graded_dim(params, a) and graded_dim(params, b)]
+                    dim = graded_dim(params, l_add(y, l_add(omega, l_scale(l, x))))
+                    assert _level_by_rank(params, pairs, dim), (params.weights, x, y, l)
+
 
 def _pair(weights, arms, c_left, c_right=0):
     """Degrees with equal arms, so the product's support is {i : 2*arms[i] >= p_i}."""
@@ -307,16 +362,20 @@ def _random_points(rng, n):
     return points
 
 
-def _criterion9_modules():
-    """The worked example and criterion-9-shaped seeded inputs, every (j, u)."""
+def _criterion9_modules(count):
+    """The worked example and the first ``count`` seeded inputs of acceptance
+    criterion 9 (``random_element`` makes the same draws from seed 9), with
+    every shift S(u*x_j), 0 <= u <= p_j, and whether it is classified special.
+    """
     rng = random.Random(9)
     inputs = [(P355, X355)] + [
-        random_element(rng, nmax=3, pmax=5, coprime=True) for _ in range(12)
+        random_element(rng, nmax=3, pmax=5, coprime=True) for _ in range(count)
     ]
     for params, x in inputs:
         for j, p in enumerate(params.weights):
+            values = i_set(p, p - x.arms[j])
             for u in range(p + 1):
-                yield params, x, l_scale(u, generator(params, j))
+                yield params, x, l_scale(u, generator(params, j)), u in values
 
 
 class TestOracleRoutes:
@@ -339,7 +398,7 @@ class TestOracleRoutes:
         assert seen == {True, False}
 
     def test_fallback_everywhere_keeps_verdicts(self, monkeypatch):
-        expected = [speciality_oracle(params, x, y, 8) for params, x, y in _criterion9_modules()]
+        expected = [speciality_oracle(params, x, y, 8) for params, x, y, _ in _criterion9_modules(12)]
         rref_calls = []
         real_rref = resolution.rref
 
@@ -349,7 +408,7 @@ class TestOracleRoutes:
 
         monkeypatch.setattr(resolution, "_decide_level", lambda supports, dim: None)
         monkeypatch.setattr(resolution, "rref", counted_rref)
-        got = [speciality_oracle(params, x, y, 8) for params, x, y in _criterion9_modules()]
+        got = [speciality_oracle(params, x, y, 8) for params, x, y, _ in _criterion9_modules(12)]
         assert got == expected
         assert len(rref_calls) >= len(expected)
         assert {r.special for r in got} == {True, False}

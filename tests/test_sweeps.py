@@ -46,42 +46,22 @@ def test_cycles_tree_route_checked_against_dense(monkeypatch):
     assert found["check"] == "tree-vs-dense" and found["quantity"] == "negative-definite"
 
 
-def _skipped(l_max):
-    return sum(
-        oracle.special and not classified
-        for _where, oracle, _rank, classified in sweeps._speciality_verdicts(3, 0, l_max)
-    )
-
-
-def test_speciality_default_sweep_skips_nothing():
-    assert sweeps.sweep_speciality() is None
-    assert _skipped(8) == 0
-
-
-def test_speciality_unrefuted_module_is_skipped():
-    # at l_max = 1 the nonspecial S(2x1) of p = (5, 4), x = (2, 1; 2) has no witness yet
-    assert sweeps.sweep_speciality(3, 0, 1) is None
-    assert 0 < _skipped(1) < sum(1 for _ in sweeps._speciality_verdicts(3, 0, 1))
-
-
-def test_speciality_all_skipped_is_a_counterexample(monkeypatch):
-    monkeypatch.setattr(sweeps, "i_set", lambda r, a: frozenset())
-    monkeypatch.setattr(sweeps, "speciality_oracle", lambda *args: OracleResult(True))
-    monkeypatch.setattr(sweeps, "_speciality_by_rank", lambda *args: OracleResult(True))
-    assert sweeps.sweep_speciality(2, 5, 3) == {
-        "check": "speciality-none-checked",
-        "count": 2,
-        "seed": 5,
-        "l_max": 3,
-    }
-
-
 def test_speciality_witness_for_a_special_module(monkeypatch):
     monkeypatch.setattr(sweeps, "speciality_oracle", lambda *args: OracleResult(False, 1))
     monkeypatch.setattr(sweeps, "_speciality_by_rank", lambda *args: OracleResult(False, 1))
     found = sweeps.sweep_speciality(1)
     assert found["check"] == "speciality-oracle"
     assert found["classification"] is True and found["witness"] == 1
+
+
+def test_speciality_special_verdict_for_a_nonspecial_module(monkeypatch):
+    # an oracle verdict is a proof, so "special" against the classification is a counterexample
+    monkeypatch.setattr(sweeps, "i_set", lambda r, a: frozenset())
+    monkeypatch.setattr(sweeps, "speciality_oracle", lambda *args: OracleResult(True))
+    monkeypatch.setattr(sweeps, "_speciality_by_rank", lambda *args: OracleResult(True))
+    found = sweeps.sweep_speciality(1)
+    assert found["check"] == "speciality-oracle"
+    assert (found["oracle"], found["witness"], found["classification"]) == (True, None, False)
 
 
 def test_speciality_checked_against_rank_route(monkeypatch):
