@@ -7,19 +7,19 @@ independent oracle), reducedness, and the rational canonical cycle.
 One pass reads the entries once: it checks that the matrix is symmetric
 and that its off-diagonal support is a forest, keeps neighbour lists, roots
 every component at its lowest vertex and eliminates from the leaves to the
-roots.  A leaf's row meets only its parent's, so nothing fills in and the
-pivot of v is
+roots in integers: D_v, the determinant on v's subtree, and R_v, the
+product of D_c over v's children c, with no division:
 
-    d_v = m[v][v] - sum over the children c of v of m[v][c]^2 / d_c.
+    D_v = m[v][v] R_v - sum over c of m[v][c]^2 R_c prod_{c' != c} D_c'.
 
-Everything else reads the pivots, the neighbour lists and single entries;
-nothing sums over a dense row:
+Nothing fills in, the roots' D multiply to det m, and v's pivot is D_v/R_v.
+Everything else reads D and R, the neighbour lists and single entries:
 
-- the matrix is negative definite iff every pivot is negative (Sylvester's
-  criterion on the matrix permuted into elimination order, whose leading
-  principal minors are the products of the first pivots);
-- the canonical cycle is a forward sweep over the pivots plus a
-  back-substitution from the roots;
+- the matrix is negative definite iff every D_v * R_v < 0, i.e. every pivot
+  is negative (Sylvester's criterion in elimination order); a zero D makes
+  some product zero;
+- the canonical cycle is a forward sweep over the pivots, as Fractions,
+  plus a back-substitution from the roots;
 - the Laufer loop keeps Z . E_i for every vertex and, after an increment,
   revisits only the incremented vertex and its neighbours (Laufer 1972).
 
@@ -69,7 +69,8 @@ class _Tree(NamedTuple):
     order: list[int]  # breadth first from each root: parents before children
     parent: list[int]  # -1 at a root
     neighbours: list[list[tuple[int, int]]]  # (j, m[i][j]) for j != i, m[i][j] != 0
-    pivots: list  # Fraction per vertex; None for all once a pivot is zero
+    dets: list[int]  # determinant of m on the subtree of each vertex
+    rest: list[int]  # product of the children's dets; the pivot is dets / rest
 
 
 def _eliminate_tree(m: IntersectionMatrix) -> _Tree:
@@ -104,24 +105,23 @@ def _eliminate_tree(m: IntersectionMatrix) -> _Tree:
                 seen[j] = True
                 parent[j] = v
                 order.append(j)
-    pivots = [None] * k
+    dets = [0] * k
+    rest = [0] * k
     for v in reversed(order):
-        d = Fraction(entries[v][v])
+        d, r = entries[v][v], 1
         for c, w in neighbours[v]:
             if c != parent[v]:
-                d -= w * w / pivots[c]
-        if not d:
-            return _Tree(order, parent, neighbours, [None] * k)
-        pivots[v] = d
-    return _Tree(order, parent, neighbours, pivots)
+                d, r = d * dets[c] - w * w * rest[c] * r, r * dets[c]
+        dets[v], rest[v] = d, r
+    return _Tree(order, parent, neighbours, dets, rest)
 
 
 def _definite(tree: _Tree) -> bool:
-    return all(d is not None and d < 0 for d in tree.pivots)
+    return all(d * r < 0 for d, r in zip(tree.dets, tree.rest))
 
 
 def is_negative_definite(m: IntersectionMatrix) -> bool:
-    """Every leaf-to-root pivot is negative, checked exactly.
+    """Every leaf-to-root pivot D_v / R_v is negative, checked in integers.
 
     Raises PreconditionError unless the matrix is symmetric with an
     off-diagonal support that is a forest.
@@ -227,15 +227,16 @@ def is_reduced(z) -> bool:
 def canonical_cycle(m: IntersectionMatrix) -> tuple[Fraction, ...]:
     """The rational cycle Z with Z . E_i = E_i^2 + 2 for every vertex.
 
-    Solved over the pivots: leaves up, then roots down.  Raises
+    Solved over the pivots D_v / R_v: leaves up, then roots down.  Raises
     PreconditionError unless the matrix is symmetric with a forest as
-    off-diagonal support and every leaf-to-root pivot is nonzero.  Only a
-    matrix that is neither negative nor positive definite can have a zero
-    pivot, and it is refused even where it is invertible.
+    off-diagonal support and every subtree determinant D_v is nonzero.  Only
+    a matrix that is neither negative nor positive definite can have a zero
+    D_v, and it is refused even where it is invertible.
     """
-    order, parent, _neighbours, pivots = _eliminate_tree(m)
-    if None in pivots:
+    order, parent, _neighbours, dets, rest = _eliminate_tree(m)
+    if not all(dets):
         raise PreconditionError("canonical cycle needs nonzero leaf-to-root pivots")
+    pivots = [Fraction(d, r) for d, r in zip(dets, rest)]
     entries = m.entries
     rhs = [entries[i][i] + 2 for i in range(m.size)]
     for v in reversed(order):

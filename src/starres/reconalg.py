@@ -19,7 +19,6 @@ from operator import mul
 
 from .errors import NotMinimalError, ParameterError, PreconditionError, StarresError
 from .gradedring import RingElement, affine_value, graded_basis, graded_dim, ring_one, span
-from .hj import hj_expand
 from .intersection import fundamental_cycle, matrix_from_graph
 from .lgroup import LElement, Parameters, l_neg, l_scale, normal_form, special_elements
 from .resolution import DualGraph, ModuleLabel, _specials_on, dual_graph, specials
@@ -177,12 +176,8 @@ def degree_zero_canonical(params: Parameters, x: LElement) -> CanonicalAlgebraDe
     g = dual_graph(params, x)
     if "non-minimal" in g.flags:
         raise NotMinimalError("degree-zero description needs x outside [0, c]")
-    keep = [i for i, ai in enumerate(x.arms) if ai != 0]
-    weights = tuple(
-        len(hj_expand(params.weights[i], params.weights[i] - x.arms[i]).alphas) + 1
-        for i in keep
-    )
-    points = tuple(params.points[i] for i in keep)
+    weights = tuple(len(arm) + 1 for arm in g.arms)
+    points = tuple(params.points[i] for i in g.arm_sources)
     rels = tuple(
         f"x1^{weights[0]} - {_point_str(points[i])}*x2^{weights[1]} + x{i + 1}^{weights[i]}"
         for i in range(2, len(weights))

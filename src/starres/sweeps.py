@@ -24,8 +24,8 @@ from .intersection import (
     pair,
 )
 from .lgroup import (
-    LElement,
     Parameters,
+    c_element,
     generator,
     l_add,
     l_neg,
@@ -103,7 +103,7 @@ def sweep_center_label(count: int = 100, seed: int = 0):
         g = dual_graph(params, x)
         v = len(g.arms)
         a = x.c_coeff
-        shifted = l_add(x, l_neg(LElement(params.weights, (0,) * params.n, 1)))
+        shifted = l_add(x, l_neg(c_element(params)))
         a_indep = len(graded_basis(params, shifted).basis)
         expected = -(a + v)
         if g.labels[g.center] != expected or a_indep != a:
@@ -128,8 +128,8 @@ def _minors_negative_definite(m) -> bool:
 def sweep_cycles(count: int = 100, seed: int = 0):
     """Fundamental cycle: reduced, Laufer = brute force, canonical system exact.
 
-    Definiteness and the canonical cycle are computed twice, by the tree
-    pivots and by the dense route (leading minors, a dense solve).
+    Definiteness and the canonical cycle are computed twice, by the integer
+    leaf-to-root pass and by the dense route (leading minors, a dense solve).
     """
     _require_count(count)
     rng = random.Random(seed)

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from starres import intersection
 from starres.errors import PreconditionError
 from starres.intersection import (
     IntersectionMatrix,
+    _eliminate_tree,
     canonical_cycle,
     fundamental_cycle,
     fundamental_cycle_brute,
@@ -18,7 +21,9 @@ from starres.intersection import (
 )
 from starres.lgroup import Parameters, normal_form, special_elements
 from starres.linalg import det, solve
+from starres.reconalg import quiver_combinatorial, quiver_from_intersection
 from starres.resolution import dual_graph, make_star
+from starres.sweeps import _minors_negative_definite, random_element
 
 
 def chain_matrix(labels):
@@ -53,14 +58,6 @@ def laufer_full_rescan(m):
         if not hot:
             return tuple(z)
         z[hot[0]] += 1
-
-
-def minors_negative_definite(m):
-    """Leading principal minors alternate in sign, by dense determinants."""
-    return all(
-        (-1) ** k * det([row[:k] for row in m.entries[:k]]) > 0
-        for k in range(1, m.size + 1)
-    )
 
 
 def random_tree_matrix(rng, k, high=-1, forest=False):
@@ -107,7 +104,42 @@ class TestTreePivots:
 
     def test_definiteness_matches_minors(self):
         for m in self.MATS:
-            assert is_negative_definite(m) == minors_negative_definite(m)
+            assert is_negative_definite(m) == _minors_negative_definite(m)
+
+    def test_root_determinants_multiply_to_det(self):
+        # D at each root is its component's determinant, the affine star's 0 included
+        for m in self.MATS:
+            tree = _eliminate_tree(m)
+            assert all(type(d) is int for d in tree.dets + tree.rest)
+            roots = [d for d, p in zip(tree.dets, tree.parent) if p < 0]
+            assert prod(roots) == det(m.entries)
+
+    def test_integer_routes_build_no_fraction(self, monkeypatch):
+        rng = random.Random(19)
+        stars = [random_element(rng, pmax=40, min_v=3) for _ in range(8)]
+        stars = [(params, x) for params, x in stars if "non-minimal" not in dual_graph(params, x).flags]
+        assert len(stars) >= 4
+
+        def no_fraction(*args):
+            raise AssertionError("the integer pass built a Fraction")
+
+        monkeypatch.setattr(intersection, "Fraction", no_fraction)
+        for m in self.MATS:
+            definite = is_negative_definite(m)
+            assert definite == _minors_negative_definite(m)
+            if definite:
+                assert fundamental_cycle(m) == laufer_full_rescan(m)
+            else:
+                with pytest.raises(PreconditionError):
+                    fundamental_cycle(m)
+        for params, x in stars:
+            g = dual_graph(params, x)
+            assert is_negative_definite(matrix_from_graph(g))
+            qi, qc = quiver_from_intersection(g), quiver_combinatorial(params, x)
+            assert (qi.arrows, qi.relations) == (qc.arrows, qc.relations)
+        # the stub is live: the rational canonical cycle still needs Fraction
+        with pytest.raises(AssertionError):
+            canonical_cycle(next(m for m in self.MATS if is_negative_definite(m)))
 
     def test_canonical_cycle_matches_solve(self):
         for m in self.MATS:
@@ -143,7 +175,7 @@ class TestTreePivots:
 
     def test_multiple_edge(self):
         m = IntersectionMatrix(((-3, 2), (2, -3)))
-        assert is_negative_definite(m) == minors_negative_definite(m)
+        assert is_negative_definite(m) == _minors_negative_definite(m)
         assert canonical_cycle(m) == solve(m.entries, [-1, -1])
         assert fundamental_cycle(m) == laufer_full_rescan(m)
 
