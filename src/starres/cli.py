@@ -4,6 +4,11 @@ Subcommands: iseries, graph, specials, quiver, wahl, domestic, sweep.
 Domain errors exit 1 with a {code, message} JSON object on stdout; argument
 parse errors exit 2.  Output is deterministic byte-for-byte for fixed input
 (JSON keys sorted, seeded randomness).
+
+Each subcommand handler imports the modules it runs; of the package, only
+``errors`` is imported at module level.  A CLI call is a cold interpreter that
+compiles and executes every module it loads, and ``iseries`` needs ``hj``
+alone.
 """
 
 from __future__ import annotations
@@ -14,21 +19,6 @@ import sys
 from fractions import Fraction
 
 from .errors import StarresError
-from .hj import hj_expand, i_series
-from .lgroup import Parameters, default_points, normal_form
-from .reconalg import (
-    degree_zero_canonical,
-    domestic_classify,
-    quiver_combinatorial,
-    quiver_from_intersection,
-    quiver_to_dot,
-    wahl_generators,
-    wahl_relations,
-    wahl_special_ideals,
-    wahl_verify,
-)
-from .resolution import dual_graph, is_minimal, specials, to_dot
-from .sweeps import run_all
 
 
 class ArgumentError(ValueError):
@@ -37,7 +27,7 @@ class ArgumentError(ValueError):
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise ArgumentError(f"could not parse {what} {text!r}") from exc
 
@@ -68,7 +58,9 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
     return points
 
 
-def _build_params(args) -> Parameters:
+def _build_params(args):
+    from .lgroup import Parameters, default_points
+
     weights = _parse_ints(args.p, "--p")
     if args.lam is None:
         points = None
@@ -79,6 +71,8 @@ def _build_params(args) -> Parameters:
 
 
 def _build_element(params, args):
+    from .lgroup import normal_form
+
     coeffs = _parse_ints(args.x, "--x") if args.x else [0] * params.n
     return normal_form(params, coeffs, args.c)
 
@@ -88,6 +82,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_iseries(args) -> int:
+    from .hj import hj_expand, i_series
+
     series = i_series(args.r, args.a)
     _emit(
         {
@@ -102,6 +98,8 @@ def _cmd_iseries(args) -> int:
 
 
 def _graph_report(params, x, with_specials: bool) -> dict:
+    from .resolution import dual_graph, is_minimal, specials
+
     g = dual_graph(params, x)
     report = {"graph": g.to_json(), "minimal": is_minimal(params, x)}
     if with_specials:
@@ -112,6 +110,8 @@ def _graph_report(params, x, with_specials: bool) -> dict:
 
 
 def _cmd_graph(args) -> int:
+    from .resolution import dual_graph, is_minimal, to_dot
+
     params = _build_params(args)
     x = _build_element(params, args)
     g = dual_graph(params, x)
@@ -125,6 +125,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_specials(args) -> int:
+    from .resolution import dual_graph, specials, to_dot
+
     params = _build_params(args)
     x = _build_element(params, args)
     if args.format == "dot":
@@ -139,6 +141,14 @@ def _cmd_specials(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
+    from .reconalg import (
+        degree_zero_canonical,
+        quiver_combinatorial,
+        quiver_from_intersection,
+        quiver_to_dot,
+    )
+    from .resolution import dual_graph, specials
+
     params = _build_params(args)
     x = _build_element(params, args)
     g = dual_graph(params, x)
@@ -161,6 +171,8 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_wahl(args) -> int:
+    from .reconalg import wahl_generators, wahl_relations, wahl_special_ideals, wahl_verify
+
     params = _build_params(args)
     pres = wahl_generators(params)
     report = wahl_verify(params, args.max_degree)
@@ -184,12 +196,16 @@ def _cmd_wahl(args) -> int:
 
 
 def _cmd_domestic(args) -> int:
+    from .reconalg import domestic_classify
+
     params = _build_params(args)
     _emit(domestic_classify(params, args.m).to_json())
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    from .sweeps import run_all
+
     counterexample = run_all(seed=args.seed, rmax=args.rmax, count=args.count, log=print)
     if counterexample is not None:
         _emit(counterexample)

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior and output stability."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,10 +19,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # README commands with their stdout recorded byte for byte
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_golden.json").read_text("utf-8")
-)
+GOLDEN = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text("utf-8"))
+
+
+def spawn(*argv):
+    """Run a fresh interpreter on this checkout's src, as a CLI call does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -27,6 +37,50 @@ def test_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *GOLDEN[name]["argv"])
     assert code == 0
     assert out == GOLDEN[name]["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout_cold_spawn(name):
+    # in process every module is already loaded; a cold spawn runs the lazy imports
+    proc = spawn("-m", "starres.cli", *GOLDEN[name]["argv"])
+    assert proc.returncode == 0, proc.stderr.decode("utf-8")
+    assert proc.stdout.decode("utf-8") == GOLDEN[name]["stdout"]
+
+
+def loaded_modules(argv):
+    """starres modules in sys.modules after `import starres` and, if argv, one CLI call."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import starres\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    from starres.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'starres')))\n"
+    )
+    proc = spawn("-c", script, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr.decode("utf-8")
+    return set(json.loads(proc.stdout))
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_modules([]) == {"starres"}
+
+    def test_iseries_loads_hj_only(self):
+        assert loaded_modules(["iseries", "17", "10"]) == {
+            "starres",
+            "starres.cli",
+            "starres.errors",
+            "starres.hj",
+        }
+
+    @pytest.mark.parametrize("command", ["graph", "specials"])
+    def test_graph_commands_skip_quiver_modules(self, command):
+        modules = loaded_modules([command, "--p", "3,5,5", "--x", "2,2,3"])
+        assert "starres.resolution" in modules
+        assert not modules & {"starres.reconalg", "starres.intersection", "starres.sweeps"}
 
 
 class TestISeries:
@@ -132,6 +186,17 @@ class TestErrors:
         assert code == 2
         assert "could not parse" in err
 
+    @pytest.mark.parametrize("weights", ["3,,5,5", ",3", "3,"])
+    def test_empty_field_exits_two(self, capsys, weights):
+        code, out, err = run(capsys, "graph", "--p", weights, "--x", "2,2,3")
+        assert code == 2 and out == ""
+        assert f"could not parse --p {weights!r}" in err
+
+    def test_empty_weights_mean_no_arms(self, capsys):
+        code, out, _ = run(capsys, "graph", "--p", "", "--x", "2,2,3")
+        assert code == 1
+        assert json.loads(out)["message"] == "expected 0 coefficients, got 3"
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -171,9 +236,9 @@ class TestSweep:
         assert "quiver: ok" in out
 
     def test_counterexample_exits_one(self, capsys, monkeypatch):
-        import starres.cli as cli
+        import starres.sweeps
 
-        monkeypatch.setattr(cli, "run_all", lambda **kw: {"check": "stub", "r": 5})
+        monkeypatch.setattr(starres.sweeps, "run_all", lambda **kw: {"check": "stub", "r": 5})
         code, out, _ = run(capsys, "sweep")
         assert code == 1
         assert json.loads(out) == {"check": "stub", "r": 5}
