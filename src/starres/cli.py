@@ -97,20 +97,15 @@ def _cmd_iseries(args) -> int:
     return 0
 
 
-def _graph_report(params, x, with_specials: bool) -> dict:
-    from .resolution import dual_graph, is_minimal, specials
-
-    g = dual_graph(params, x)
-    report = {"graph": g.to_json(), "minimal": is_minimal(params, x)}
-    if with_specials:
-        report["specials"] = [
-            {"label": lab.display, "vertex": lab.vertex} for lab in specials(params, x)
-        ]
+def _graph_report(g, labels=None) -> dict:
+    report = {"graph": g.to_json(), "minimal": "non-minimal" not in g.flags}
+    if labels is not None:
+        report["specials"] = [{"label": lab.display, "vertex": lab.vertex} for lab in labels]
     return report
 
 
 def _cmd_graph(args) -> int:
-    from .resolution import dual_graph, is_minimal, to_dot
+    from .resolution import dual_graph, to_dot
 
     params = _build_params(args)
     x = _build_element(params, args)
@@ -118,25 +113,28 @@ def _cmd_graph(args) -> int:
     if args.format == "dot":
         print(to_dot(g))
     elif args.format == "text":
-        print(f"shape: {g.shape}  labels: {list(g.labels)}  minimal: {is_minimal(params, x)}")
+        minimal = "non-minimal" not in g.flags
+        print(f"shape: {g.shape}  labels: {list(g.labels)}  minimal: {minimal}")
     else:
-        _emit(_graph_report(params, x, with_specials=False))
+        _emit(_graph_report(g))
     return 0
 
 
 def _cmd_specials(args) -> int:
-    from .resolution import dual_graph, specials, to_dot
+    from .resolution import _specials_on, dual_graph, to_dot
 
     params = _build_params(args)
     x = _build_element(params, args)
+    g = dual_graph(params, x)
+    labels = _specials_on(params, x, g)
     if args.format == "dot":
-        print(to_dot(dual_graph(params, x), specials(params, x)))
+        print(to_dot(g, labels))
     elif args.format == "text":
-        for lab in specials(params, x):
+        for lab in labels:
             vertex = "-" if lab.vertex is None else lab.vertex
             print(f"{lab.display}\tvertex {vertex}")
     else:
-        _emit(_graph_report(params, x, with_specials=True))
+        _emit(_graph_report(g, labels))
     return 0
 
 

@@ -278,8 +278,7 @@ def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:
     """Span of all pairwise basis products of two pieces inside their sum.
 
     The spanning rows are the t-shifts of one integer binary form
-    (``_product_rows``); ``rref`` certifies full rank modulo 2^61 - 1 when
-    it can and otherwise reduces them exactly.
+    (``_product_rows``), reduced exactly by ``rref``.
     """
     from .linalg import rref
 

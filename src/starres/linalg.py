@@ -4,15 +4,10 @@ Every row is scaled to integers once (by the lcm of its denominators; rows
 that are already ``int`` pass straight through) and fed to one fraction-free
 Gauss-Jordan elimination in the manner of Bareiss (1968): every intermediate
 entry is a minor of the input, so every division is exact.  ``rref``, ``det``
-and ``solve`` are all read off that routine.
-
-Modular arithmetic is used in one place only, to certify full rank: when
-``rref`` gets at least as many rows as columns and their rank modulo the
-prime 2^61 - 1 equals the number of columns, the rank over Q is full as well
-(rank mod p <= rank over Q <= columns), so the answer is the identity.  Any
-other outcome falls back to the exact integer elimination.  No floats and no
-tolerances appear anywhere; results are tuples of Fractions, hashable and
-reproducible.
+and ``solve`` are all read off that routine, which stops as soon as it holds
+a pivot in every column it may pivot in; a full-rank ``rref`` is then the
+identity.  No modular arithmetic, no floats and no tolerances appear
+anywhere; results are tuples of Fractions, hashable and reproducible.
 """
 
 from __future__ import annotations
@@ -22,8 +17,6 @@ from functools import cache
 from math import lcm, prod
 
 Row = tuple[Fraction, ...]
-
-MODULUS = (1 << 61) - 1  # a Mersenne prime
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,7 +44,8 @@ def _eliminate(rows, limit: int) -> tuple[list[tuple[int, list[int]]], int]:
     every other pivot column, so ``row / d`` is its reduced row echelon row.
     ``d`` is the determinant of the pivot rows restricted to the pivot
     columns, both in that order.  Pivots are taken among the first ``limit``
-    columns; a row that reduces to zero there is dropped.
+    columns; a row that reduces to zero there is dropped, and so is every row
+    after the ``limit``-th pivot, as each of them would reduce to zero there.
     """
     pivots: list[tuple[int, list[int]]] = []
     d = 1
@@ -74,33 +68,9 @@ def _eliminate(rows, limit: int) -> tuple[list[tuple[int, list[int]]], int]:
                 pivots[k] = (pcol, [dn * x // d for x in prow])
         pivots.append((col, new))
         d = dn
+        if len(pivots) == limit:
+            break
     return pivots, d
-
-
-def _full_rank_mod_p(rows, ncols: int) -> bool:
-    """Whether integer rows of length ncols have rank ncols modulo MODULUS.
-
-    Stops as soon as ncols pivots are found, or once too few rows remain to
-    find them.
-    """
-    p = MODULUS
-    pivots: list[tuple[int, list[int]]] = []
-    for i, row in enumerate(rows):
-        if len(pivots) + len(rows) - i < ncols:
-            return False
-        r = [x % p for x in row]
-        for col, prow in pivots:
-            f = r[col]
-            if f:
-                r = [(x - f * y) % p for x, y in zip(r, prow)]
-        col = next((j for j in range(ncols) if r[j]), None)
-        if col is None:
-            continue
-        inv = pow(r[col], -1, p)
-        pivots.append((col, [x * inv % p for x in r]))
-        if len(pivots) == ncols:
-            return True
-    return len(pivots) == ncols
 
 
 def _permutation_sign(perm) -> int:
@@ -121,16 +91,16 @@ def _identity(n: int) -> tuple[Row, ...]:
 def rref(rows) -> tuple[Row, ...]:
     """Reduced row echelon form; zero rows dropped, pivots normalized to 1.
 
-    Rows certified of full column rank modulo 2^61 - 1 give the identity
-    without exact elimination.
+    Rows of full column rank give the shared identity, with no pivot row
+    divided out.
     """
     mat = [_integer_row(row)[1] for row in rows]
     if not mat:
         return ()
     ncols = len(mat[0])
-    if _full_rank_mod_p(mat, ncols):
-        return _identity(ncols)
     pivots, d = _eliminate(mat, ncols)
+    if len(pivots) == ncols:
+        return _identity(ncols)
     return tuple([tuple([Fraction(x, d) for x in prow]) for _col, prow in sorted(pivots)])
 
 

@@ -12,7 +12,7 @@ I(p_j, p_j - a_j), one module per exceptional curve plus the ring itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, count
+from itertools import count
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
 from .gradedring import _product_rows, _support
@@ -24,7 +24,8 @@ from .lgroup import (
     in_interval_0_c,
     is_positive,
     l_add,
-    special_elements,
+    l_neg,
+    normal_form,
 )
 from .linalg import rref
 
@@ -221,25 +222,23 @@ def speciality_oracle(
 ) -> OracleResult:
     """Decide speciality of the shifted module S(y) by graded subspace equations.
 
-    For each level l checks, inside the graded piece of degree
+    y is first lowered to the representative of its class mod x at which the
+    module starts (``_levels``), so the verdict depends on the class alone.
+    Then for each level l >= 0 checks, inside the graded piece of degree
     y + omega + l*x, that the whole piece equals the sum over m in [1, l] of
     the products of the pieces in degrees omega + m*x and y + (l - m)*x.
-    A failing l is returned as the witness.  Every level from the bound L0
-    of ``_levels`` on passes, so the levels below L0 decide speciality and
-    each verdict is a proof.  An optional ``l_max`` caps the levels checked;
+    A failing l is returned as the witness; witness 0 means that the piece
+    of degree y + omega is nonzero.  Every level from the bound L0 of
+    ``_levels`` on passes, so the levels below L0 decide speciality and each
+    verdict is a proof.  An optional ``l_max`` caps the levels checked;
     "special" under a cap below L0 only says that no level up to l_max fails.
 
     Each product is f_Q * S_(dim - 1 - |Q|) for the squarefree binary form
     f_Q, the product of the linear forms of the points in its support Q
-    (``gradedring._support``).  The points are distinct, so these forms are
-    pairwise coprime, and most levels are settled from the supports alone
-    (``_decide_level``): no product, or a point common to every support,
-    fails; an empty support, or two disjoint supports whose sizes sum to at
-    most dim (two coprime binary forms of degrees d1 and d2 generate every
-    form of degree at least d1 + d2 - 1), passes.  Any other level falls
-    back to ``_level_by_rank``, which stacks the integer shift rows of the
-    level's products and makes one ``rref`` call; modular arithmetic, as
-    ``rref``'s full-rank certificate, appears on that path only.
+    (``gradedring._support``).  ``_decide_level`` settles a level from the
+    supports alone by intersecting them; a level it leaves open falls back
+    to ``_level_by_rank``, which stacks the integer shift rows of the level's
+    products and makes one exact ``rref`` call.
     """
     _require_valid(params, x)
     if l_max is not None and l_max < 1:
@@ -260,7 +259,17 @@ def speciality_oracle(
 
 
 def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
-    """Yield (l, dim, pairs) for l in [1, min(L0 - 1, l_max)].
+    """Yield (l, dim, pairs) for l in [0, min(L0 - 1, l_max)].
+
+    First y is lowered to y - x while the piece of degree y - x is nonzero.
+    S(y) = S(y - x) is the sum of the pieces of degrees y + k*x, k in Z, and
+    adding x never lowers a c coefficient, so the lowered y starts the
+    module and the levels read all of it.  A y whose own piece is zero too
+    is kept: its level l >= 1 has the pairs of level l - 1 of y + x, and its
+    extra level 0 fails only if that of y + x does (a nonzero piece of
+    degree y + omega makes that of y + x + omega nonzero).  So a class gets
+    one verdict whatever its representative; only the witness moves.
+    Level 0 has no pairs: it passes iff the piece of degree y + omega is 0.
 
     dim is the dimension of the piece of degree y + omega + l*x, and pairs
     lists the degrees (omega + m*x, y + (l - m)*x), m in [1, l], whose pieces
@@ -283,38 +292,55 @@ def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
       >= 2n - 1 (two general members of their degree-n part are coprime),
       which the piece's degree dim - 1 reaches once dim >= 2n.
     """
+    minus_x = l_neg(x)
+    while (lower := l_add(y, minus_x)).c_coeff >= 0:
+        y = lower
     reach = max(params.weights, default=1)
-    lefts = [special_elements(params).omega]
-    rights = [y]
-    k0 = 0 if y.c_coeff >= 0 else None
-    for l in count(1) if l_max is None else range(1, l_max + 1):
-        lefts.append(l_add(lefts[-1], x))
-        if l > 1:
-            rights.append(l_add(rights[-1], x))
+    lefts = [normal_form(params, [-1] * params.n, params.n - 2)]  # omega = (n - 2)c - sum x_i
+    rights: list[LElement] = []  # rights[k] = y + k*x, added at level k + 1
+    k0 = None
+    for l in count() if l_max is None else range(l_max + 1):
+        if l:
+            lefts.append(l_add(lefts[-1], x))
+            rights.append(l_add(rights[-1], x) if rights else y)
             if k0 is None and rights[-1].c_coeff >= 0:
                 k0 = l - 1
         top = lefts[l]
         dim = max(top.c_coeff + y.c_coeff + len(_support(top, y)) + 1, 0)
         if k0 is not None and l >= k0 + reach and dim >= 2 * params.n:
             return
-        pairs = [(lefts[m], rights[l - m]) for m in range(1, l + 1) if rights[l - m].c_coeff >= 0]
+        pairs = [] if k0 is None else [(lefts[m], rights[l - m]) for m in range(1, l - k0 + 1)]
         yield l, dim, pairs
 
 
 def _decide_level(supports: list[frozenset[int]], dim: int) -> bool | None:
     """Whether the products f_Q * S_(dim - 1 - |Q|), Q in supports, fill a
     piece of dimension dim; None when the supports alone do not settle it.
+
+    With d = dim - 1, f_Q * S_(d - |Q|) is the space of degree-d forms
+    vanishing on Q, whose annihilator W_Q is spanned by the evaluations at
+    the points of Q; the level fills iff the W_Q meet in 0.  Any dim of the
+    distinct points have independent evaluations (Vandermonde), so
+    W_A & W_Q = W_(A & Q) when |A | Q| <= dim.  A point in every support
+    fails the level.  Otherwise A starts as the smallest support and each Q
+    with |A | Q| <= dim replaces A by A & Q, keeping the meet inside W_A;
+    A empty means the level fills.  If A stops shrinking first, the supports
+    do not decide: {0, 1}, {2, 3}, {4, 5} at dim 3 fill or not depending on
+    the six points (three chords of a conic, concurrent or not).
     """
     if not supports:
         return dim == 0
     if frozenset.intersection(*supports):
-        return False  # every product lies in ell_i * S
-    if not all(supports):
-        return True  # f = 1: the product is the whole piece
-    for q, r in combinations(set(supports), 2):
-        if not q & r and len(q) + len(r) <= dim:
-            return True  # coprime f_Q, f_R generate every degree >= |Q| + |R| - 1
-    return None
+        return False
+    common = min(supports, key=len)
+    while common:
+        before = common
+        for q in supports:
+            if len(common | q) <= dim:
+                common &= q
+        if common == before:
+            return None
+    return True
 
 
 def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:

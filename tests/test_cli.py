@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from starres import resolution
 from starres.cli import main
-from starres.resolution import dual_graph, graph_from_json
+from starres.resolution import dual_graph, graph_from_json, is_minimal, specials, to_dot
 from starres.lgroup import Parameters, normal_form
 
 
@@ -132,6 +133,36 @@ class TestSpecials:
         assert set(payload) == {"graph", "minimal", "specials"}
         labels = [entry["label"] for entry in payload["specials"]]
         assert labels == ["R", "S(c)", "S(x1)", "S(3x2)", "S(x2)", "S(2x3)", "S(x3)"]
+
+
+def _library_stdout(command, fmt, params, x):
+    """What graph and specials print, composed from the public library calls."""
+    g = dual_graph(params, x)
+    labels = specials(params, x) if command == "specials" else None
+    if fmt == "dot":
+        return to_dot(g, labels) + "\n"
+    if fmt == "text" and labels is None:
+        return f"shape: {g.shape}  labels: {list(g.labels)}  minimal: {is_minimal(params, x)}\n"
+    if fmt == "text":
+        vertices = ["-" if lab.vertex is None else lab.vertex for lab in labels]
+        return "".join(f"{lab.display}\tvertex {v}\n" for lab, v in zip(labels, vertices))
+    report = {"graph": g.to_json(), "minimal": is_minimal(params, x)}
+    if labels is not None:
+        report["specials"] = [{"label": lab.display, "vertex": lab.vertex} for lab in labels]
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["graph", "specials"])
+@pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+def test_graph_commands_build_one_graph(capsys, monkeypatch, command, fmt):
+    params = Parameters([3, 5, 5])
+    expected = _library_stdout(command, fmt, params, normal_form(params, [2, 2, 3], 0))
+    calls = []
+    real = resolution.dual_graph
+    monkeypatch.setattr(resolution, "dual_graph", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, command, "--p", "3,5,5", "--x", "2,2,3", "--format", fmt)
+    assert code == 0 and len(calls) == 1
+    assert out == expected
 
 
 class TestQuiver:

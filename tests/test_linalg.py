@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starres.linalg import MODULUS, _full_rank_mod_p, det, rref, solve
+from starres.linalg import _eliminate, _identity, det, rref, solve
 
 
 def ref_rref(rows):
@@ -117,23 +117,27 @@ def test_rref_banded_shift_rows():
 
 
 def test_forced_fallback_full_rank_over_q():
-    # rank 2 over Q but rank 1 mod p: the certificate fails, the exact route answers
-    m = [[MODULUS, 0], [0, 1]]
-    assert not _full_rank_mod_p(m, 2)
+    # rank 2 over Q but rank 1 modulo the prime 2^61 - 1: exact elimination sees it
+    prime = (1 << 61) - 1
+    m = [[prime, 0], [0, 1]]
     assert rref(m) == ((1, 0), (0, 1))
     assert rref(m) == ref_rref(m)
-    assert det(m) == MODULUS
-    assert solve(m, [MODULUS, 2]) == (1, 2)
+    assert det(m) == prime
+    assert solve(m, [prime, 2]) == (1, 2)
 
 
-def test_certificate_only_claims_full_rank():
-    rng = random.Random("certificate")
-    for _ in range(20):
-        rank = rng.randint(0, 4)
-        m = random_matrix(rng, 6, 4, rank=rank)
-        assert _full_rank_mod_p(m, 4) == (len(ref_rref(m)) == 4)
-    assert not _full_rank_mod_p([[1, 0, 0], [0, 1, 0]], 3)  # too few rows
-    assert _full_rank_mod_p([], 0)
+def test_elimination_stops_at_full_rank():
+    def rows():
+        yield [2, 1]
+        yield [1, 1]
+        raise AssertionError("row read after the last pivot")
+
+    pivots, d = _eliminate(rows(), 2)
+    assert [col for col, _row in pivots] == [0, 1] and d == 1
+    rng = random.Random("full rank")
+    for _ in range(10):
+        m = random_matrix(rng, 6, 4, rank=4)
+        assert rref(m) is _identity(4) and ref_rref(m) == _identity(4)
 
 
 @pytest.mark.parametrize("fractions", [False, True])

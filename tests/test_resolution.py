@@ -1,5 +1,6 @@
 """Dual graphs, minimality, blow-downs, special modules, and the oracle."""
 
+import itertools
 import math
 import random
 
@@ -7,13 +8,14 @@ import pytest
 
 from starres import resolution
 from starres.errors import NotMinimalError, PreconditionError
-from starres.gradedring import graded_dim
+from starres.gradedring import _support, graded_dim
 from starres.hj import hj_expand, i_set
 from starres.lgroup import (
     LElement,
     Parameters,
     c_element,
     canonical_point,
+    degree_hom,
     generator,
     l_add,
     l_scale,
@@ -273,10 +275,73 @@ class TestOracle:
         assert speciality_oracle(params, x, y) == OracleResult(True)
         assert _level_bound(params, x, y) == bound
 
+    def test_verdict_ignores_the_representative(self):
+        # p = (2), x = x1 + 2c: S(2c) = S(2c - x), a class that specials omits;
+        # 2c's piece starts the module, so witness 0: S(2c + omega) != 0
+        params = Parameters([2])
+        x = normal_form(params, [1], 2)
+        y = l_scale(2, c_element(params))
+        assert speciality_oracle(params, x, y) == OracleResult(False, 0)
+        assert speciality_oracle(params, x, l_add(y, l_scale(-1, x))) == OracleResult(False, 1)
+        assert speciality_oracle(params, x, l_add(y, x)) == OracleResult(False, 0)
+
+    def test_one_verdict_per_class(self):
+        # every degree with arms in [0, p) and a small c, at five representatives
+        # y + s*x: one verdict, special exactly on the classes specials lists
+        checked = 0
+        for params, x in _small_inputs(nmax=2, pmax=4, amax=2):
+            listed = [_module_degree(params, lab) for lab in specials(params, x)]
+            for arms in itertools.product(*[range(p) for p in params.weights]):
+                for b in range(-3, 3):
+                    y = LElement(params.weights, arms, b)
+                    verdicts = {
+                        speciality_oracle(params, x, l_add(y, l_scale(s, x))).special
+                        for s in range(-2, 3)
+                    }
+                    listed_here = any(_same_class(x, y, z) for z in listed)
+                    assert verdicts == {listed_here}, (params.weights, x, y)
+                    checked += 1
+        assert checked > 3000
+
+
+def _small_inputs(nmax, pmax, amax):
+    """Every coprime minimal x = sum(a_i x_i) + a*c with n <= nmax, p_i <= pmax, a <= amax."""
+    for n in range(1, nmax + 1):
+        for weights in itertools.combinations_with_replacement(range(2, pmax + 1), n):
+            params = Parameters(list(weights))
+            units = [[a for a in range(1, p) if math.gcd(a, p) == 1] for p in weights]
+            for arms in itertools.product(*units):
+                for a in range(amax + 1):
+                    x = normal_form(params, list(arms), a)
+                    if is_minimal(params, x):
+                        yield params, x
+
+
+def _module_degree(params, label):
+    if label.kind == "free":
+        return zero(params)
+    if label.kind == "c":
+        return c_element(params)
+    return l_scale(label.u, generator(params, label.arm))
+
+
+def _same_class(x, y, z):
+    """Whether y - z is a multiple of x."""
+    diff = l_add(y, l_scale(-1, z))
+    k, r = divmod(degree_hom(diff), degree_hom(x))
+    return r == 0 and l_scale(k, x) == diff
+
 
 def _level_bound(params, x, y):
-    """L0: one past the last level the uncapped oracle checks."""
-    return len(list(resolution._levels(params, x, y, None))) + 1
+    """L0: the uncapped oracle checks the levels 0 .. L0 - 1."""
+    return len(list(resolution._levels(params, x, y, None)))
+
+
+def _lowered(params, x, y):
+    """The representative of y + Zx at which S(y) starts, by the group law alone."""
+    while graded_dim(params, l_add(y, l_scale(-1, x))):
+        y = l_add(y, l_scale(-1, x))
+    return y
 
 
 class TestLevelBound:
@@ -296,6 +361,7 @@ class TestLevelBound:
             ]
             for y in shifts:
                 start = _level_bound(params, x, y)
+                y = _lowered(params, x, y)
                 stop = start + math.lcm(*params.weights) + max(params.weights)
                 for l in range(start, stop + 1):
                     pairs = [
@@ -336,10 +402,12 @@ class TestLevelDecision:
         assert _level_by_rank(params, [_pair(w, (1, 1, 0, 0), 1), _pair(w, (0, 0, 1, 1), 1)], 4)
         assert not _level_by_rank(params, [_pair(w, (1, 1, 0, 0), 0), _pair(w, (0, 0, 1, 1), 0)], 3)
 
-    def test_hand_built_fallback(self):
-        # three quadrics l0*l1, l1*l2, l0*l2 in S_2: no rule applies, rref settles it
+    def test_triangle_of_quadrics(self):
+        # l0*l1, l1*l2, l0*l2 in S_2: {0,1} & {1,2} = {1} on 3 <= dim points,
+        # then {1} & {0,2} is empty, so they fill; two of them do not
         supports = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
-        assert _decide_level(supports, 3) is None
+        assert _decide_level(supports, 3) is True
+        assert _decide_level(supports[:2], 3) is False
         pairs = [
             _pair((2, 2, 2), (1, 1, 0), 0),
             _pair((2, 2, 2), (0, 1, 1), 0),
@@ -348,6 +416,46 @@ class TestLevelDecision:
         for points in (None, [(1, 2), (3, -1), (2, 5)]):
             assert _level_by_rank(Parameters([2, 2, 2], points), pairs, 3) is True
             assert _level_by_rank(Parameters([2, 2, 2], points), pairs[:2], 3) is False
+
+    def test_supports_shrunk_in_turn(self):
+        # no two of these supports are disjoint, yet intersecting them in turn
+        # from the smallest reaches the empty set
+        supports = [frozenset({0, 1, 3, 4, 5}), frozenset({0, 2, 3}), frozenset({2, 4})]
+        assert _decide_level(supports, 14) is True
+        assert _decide_level([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 3})], 3) is True
+
+    def test_hand_built_fallback(self):
+        # three chords l0*l1, l2*l3, l4*l5 of a conic in S_2: the supports stay
+        # undecided, and rank shows the answer depends on the points
+        supports = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]
+        assert _decide_level(supports, 3) is None
+        w = (2,) * 6
+        pairs = [
+            _pair(w, (1, 1, 0, 0, 0, 0), 0),
+            _pair(w, (0, 0, 1, 1, 0, 0), 0),
+            _pair(w, (0, 0, 0, 0, 1, 1), 0),
+        ]
+        assert _level_by_rank(Parameters([2] * 6), pairs, 3) is True
+        # each pair {u, -u}: every product is a multiple of t0^2 - u^2 t1^2
+        concurrent = [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (1, -3)]
+        assert _level_by_rank(Parameters([2] * 6, concurrent), pairs, 3) is False
+
+    def test_random_levels_decided_by_supports(self):
+        # arbitrary degrees y and random points: every level the oracle reads
+        # is settled by the supports, as rank settles it
+        rng = random.Random(13)
+        levels = 0
+        for _ in range(120):
+            params, x = random_element(rng, nmax=5, pmax=9, coprime=True)
+            params = Parameters(params.weights, _random_points(rng, params.n))
+            x = normal_form(params, x.arms, x.c_coeff)
+            y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-3, 3))
+            for l, dim, pairs in resolution._levels(params, x, y, None):
+                fills = _decide_level([frozenset(_support(a, b)) for a, b in pairs], dim)
+                assert fills is not None, (params, x, y, l)
+                assert fills == _level_by_rank(params, pairs, dim), (params, x, y, l)
+                levels += 1
+        assert levels > 500
 
 
 def _random_points(rng, n):
