@@ -145,7 +145,7 @@ def _cmd_quiver(args) -> int:
         quiver_from_intersection,
         quiver_to_dot,
     )
-    from .resolution import dual_graph, specials
+    from .resolution import _specials_on, dual_graph
 
     params = _build_params(args)
     x = _build_element(params, args)
@@ -154,7 +154,7 @@ def _cmd_quiver(args) -> int:
         quiver = quiver_combinatorial(params, x)
         degenerate = False
     else:
-        quiver = quiver_from_intersection(g, specials(params, x))
+        quiver = quiver_from_intersection(g, _specials_on(params, x, g))
         degenerate = True
     if args.format == "dot":
         print(quiver_to_dot(quiver))

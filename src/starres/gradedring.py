@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ParameterError, PreconditionError
-from .lgroup import LElement, Parameters, l_add
+from .lgroup import LElement, Parameters, _support, l_add
 
 TermKey = tuple[int, int, tuple[int, ...]]
 
@@ -243,15 +243,6 @@ def span(piece: GradedPiece, elements) -> Subspace:
     return Subspace(piece, rows)
 
 
-def _support(y: LElement, z: LElement) -> list[int]:
-    """Arms i with y_i + z_i >= p_i: each carries into c when y and z are added.
-
-    These are the marked points whose linear forms divide the reduced
-    product of the arm monomials of degrees y and z.
-    """
-    return [i for i, (s, t, p) in enumerate(zip(y.arms, z.arms, y.weights)) if s + t >= p]
-
-
 def _product_rows(params: Parameters, y: LElement, z: LElement) -> list[list[int]]:
     """Integer coordinate rows spanning the product of the pieces of degrees y and z.
 
@@ -278,7 +269,9 @@ def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:
     """Span of all pairwise basis products of two pieces inside their sum.
 
     The spanning rows are the t-shifts of one integer binary form
-    (``_product_rows``), reduced exactly by ``rref``.
+    (``_product_rows``), reduced exactly by ``rref``.  The speciality
+    oracle needs no span: it reads each product from its support alone, and
+    only the sweep's rank route (``sweeps._level_by_rank``) stacks the rows.
     """
     from .linalg import rref
 

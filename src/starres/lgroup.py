@@ -19,7 +19,13 @@ from .errors import ParameterError, PreconditionError
 
 
 def canonical_point(u, w) -> tuple[int, int]:
-    """Scale a rational pair (u:w) to coprime ints, first nonzero entry positive."""
+    """Scale a rational pair (u:w) to coprime ints, first nonzero entry positive.
+
+    Entries are ints, Fractions or strings such as "1/2"; a float is refused,
+    since Fraction would expand its binary value.
+    """
+    if isinstance(u, float) or isinstance(w, float):
+        raise ParameterError(f"point coordinates must be exact, got ({u!r}:{w!r})")
     uf, wf = Fraction(u), Fraction(w)
     if uf == 0 and wf == 0:
         raise ParameterError("(0:0) is not a point of P^1")
@@ -182,6 +188,15 @@ def l_scale(k: int, a: LElement) -> LElement:
         arms.append(r)
         carry += q
     return LElement(a.weights, tuple(arms), carry)
+
+
+def _support(y: LElement, z: LElement) -> list[int]:
+    """Arms i with y_i + z_i >= p_i: each carries into c when y and z are added.
+
+    These are the marked points whose linear forms divide the reduced
+    product of the arm monomials of degrees y and z.
+    """
+    return [i for i, (s, t, p) in enumerate(zip(y.arms, z.arms, y.weights)) if s + t >= p]
 
 
 def is_positive(a: LElement) -> bool:

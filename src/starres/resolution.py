@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from itertools import count
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
-from .gradedring import _product_rows, _support
 from .hj import hj_expand, i_set
 from .lgroup import (
     LElement,
     Parameters,
+    _support,
     coprime_criterion,
     in_interval_0_c,
     is_positive,
@@ -27,7 +27,6 @@ from .lgroup import (
     l_neg,
     normal_form,
 )
-from .linalg import rref
 
 POINT = "point"
 CHAIN = "chain"
@@ -233,12 +232,25 @@ def speciality_oracle(
     verdict is a proof.  An optional ``l_max`` caps the levels checked;
     "special" under a cap below L0 only says that no level up to l_max fails.
 
-    Each product is f_Q * S_(dim - 1 - |Q|) for the squarefree binary form
-    f_Q, the product of the linear forms of the points in its support Q
-    (``gradedring._support``).  ``_decide_level`` settles a level from the
-    supports alone by intersecting them; a level it leaves open falls back
-    to ``_level_by_rank``, which stacks the integer shift rows of the level's
-    products and makes one exact ``rref`` call.
+    A level with pairs fills iff no point lies in every support; a level
+    without pairs fills iff its piece is zero.  Let d = dim - 1.  Each
+    product is f_Q * S_(d - |Q|) for the squarefree binary form f_Q, the
+    product of the linear forms of the points in its support Q
+    (``lgroup._support``): the degree-d forms that vanish on Q, whose
+    annihilator W_Q is spanned by the evaluations at the points of Q.  The
+    level fills iff the W_Q meet in 0.  Take a level l with pairs
+    m = 1..M, M = l - k0 >= 1 (k0 as in ``_levels``), and supports Q_m:
+    - every pair's degrees add up to the same top degree, so
+      d = c(omega + m*x) + c(y + (l - m)*x) + |Q_m| for every m;
+    - every a_i >= 1, so all n arms carry in omega + x, whose c coefficient
+      is n + a - 2, and the right piece of m = 1 is nonempty: hence
+      dim >= n + a - 1 + |Q_1|;
+    - if a >= 1 or Q_1 is nonempty, the supports' union has at most
+      n <= dim points, whose evaluations are independent (Vandermonde), so
+      W_A & W_Q = W_(A & Q) and the level fills iff the Q_m have no common
+      point;
+    - otherwise a = 0 and Q_1 is empty: f_Q_1 * S_d = S_d fills the level,
+      and the Q_m have no common point either.
     """
     _require_valid(params, x)
     if l_max is not None and l_max < 1:
@@ -250,9 +262,10 @@ def speciality_oracle(
             "oracle requires coprime arm coefficients; reduce parameters first"
         )
     for l, dim, pairs in _levels(params, x, y, l_max):
-        fills = _decide_level([frozenset(_support(a, b)) for a, b in pairs], dim)
-        if fills is None:
-            fills = _level_by_rank(params, pairs, dim)
+        if pairs:
+            fills = not set.intersection(*(set(_support(a, b)) for a, b in pairs))
+        else:
+            fills = dim == 0
         if not fills:
             return OracleResult(False, l)
     return OracleResult(True)
@@ -280,17 +293,14 @@ def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
 
     Adding x never lowers a c coefficient, so the right piece is nonempty
     exactly for l - m >= k0, the least k >= 0 at which y + k*x has c
-    coefficient >= 0.  L0 is the least l >= k0 + max(p) with dim >= 2n
-    (max(p) read as 1 when n = 0, so some pair exists), and every level from
-    L0 on passes:
-    - point i lies in the support of pair m exactly when the arm of
-      omega + m*x at i exceeds the arm of y + omega + l*x at i;
-    - a_i is a unit mod p_i, so any p_i consecutive m include one at which
-      omega + m*x has arm 0 at i, and i is missing from that support;
-    - so once l >= k0 + max(p), no point lies in every support;
-    - binary forms of degree <= n with no common zero generate every degree
-      >= 2n - 1 (two general members of their degree-n part are coprime),
-      which the piece's degree dim - 1 reaches once dim >= 2n.
+    coefficient >= 0.  L0 is k0 + max(p) (max(p) read as 1 when n = 0, so
+    some pair exists), and every level from L0 on passes: point i lies in
+    the support of pair m exactly when the arm of omega + m*x at i, which is
+    m*a_i - 1 mod p_i, and the arm of y + (l - m)*x at i add up to at least
+    p_i.  a_i is a unit mod p_i, so i drops out at the m in [1, p_i] with
+    m*a_i = 1 mod p_i.  Once l >= k0 + max(p) every such m is a pair, no
+    point lies in every support, and the level fills by the common-point
+    rule of ``speciality_oracle``.
     """
     minus_x = l_neg(x)
     while (lower := l_add(y, minus_x)).c_coeff >= 0:
@@ -305,66 +315,12 @@ def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
             rights.append(l_add(rights[-1], x) if rights else y)
             if k0 is None and rights[-1].c_coeff >= 0:
                 k0 = l - 1
+        if k0 is not None and l >= k0 + reach:
+            return
         top = lefts[l]
         dim = max(top.c_coeff + y.c_coeff + len(_support(top, y)) + 1, 0)
-        if k0 is not None and l >= k0 + reach and dim >= 2 * params.n:
-            return
         pairs = [] if k0 is None else [(lefts[m], rights[l - m]) for m in range(1, l - k0 + 1)]
         yield l, dim, pairs
-
-
-def _decide_level(supports: list[frozenset[int]], dim: int) -> bool | None:
-    """Whether the products f_Q * S_(dim - 1 - |Q|), Q in supports, fill a
-    piece of dimension dim; None when the supports alone do not settle it.
-
-    With d = dim - 1, f_Q * S_(d - |Q|) is the space of degree-d forms
-    vanishing on Q, whose annihilator W_Q is spanned by the evaluations at
-    the points of Q; the level fills iff the W_Q meet in 0.  Any dim of the
-    distinct points have independent evaluations (Vandermonde), so
-    W_A & W_Q = W_(A & Q) when |A | Q| <= dim.  A point in every support
-    fails the level.  Otherwise A starts as the smallest support and each Q
-    with |A | Q| <= dim replaces A by A & Q, keeping the meet inside W_A;
-    A empty means the level fills.  If A stops shrinking first, the supports
-    do not decide: {0, 1}, {2, 3}, {4, 5} at dim 3 fill or not depending on
-    the six points (three chords of a conic, concurrent or not).
-    """
-    if not supports:
-        return dim == 0
-    if frozenset.intersection(*supports):
-        return False
-    common = min(supports, key=len)
-    while common:
-        before = common
-        for q in supports:
-            if len(common | q) <= dim:
-                common &= q
-        if common == before:
-            return None
-    return True
-
-
-def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:
-    """Whether the products of the pieces in pairs fill their piece of
-    dimension dim: their integer shift rows stacked, with one ``rref`` call.
-    """
-    rows = []
-    for left, right in pairs:
-        rows.extend(_product_rows(params, left, right))
-    return len(rref(rows)) == dim
-
-
-def _speciality_by_rank(
-    params: Parameters, x: LElement, y: LElement, l_max: int | None = None
-) -> OracleResult:
-    """The oracle's answer with every level below L0 decided by ``_level_by_rank``.
-
-    The second route to each verdict and witness; it skips the oracle's
-    preconditions, so call it only on inputs the oracle accepts.
-    """
-    for l, dim, pairs in _levels(params, x, y, l_max):
-        if not _level_by_rank(params, pairs, dim):
-            return OracleResult(False, l)
-    return OracleResult(True)
 
 
 def _vertex_names(g: DualGraph) -> list[str]:

@@ -12,7 +12,7 @@ import random
 from math import gcd
 
 from .errors import PreconditionError
-from .gradedring import graded_basis, graded_dim
+from .gradedring import _product_rows, graded_basis, graded_dim
 from .hj import i_set, ito_oracle, residue_criterion
 from .intersection import (
     canonical_cycle,
@@ -24,6 +24,7 @@ from .intersection import (
     pair,
 )
 from .lgroup import (
+    LElement,
     Parameters,
     c_element,
     generator,
@@ -33,9 +34,9 @@ from .lgroup import (
     normal_form,
     reduce_parameters,
 )
-from .linalg import det, solve
+from .linalg import det, rref, solve
 from .reconalg import quiver_combinatorial, quiver_from_intersection
-from .resolution import _speciality_by_rank, dual_graph, specials, speciality_oracle
+from .resolution import OracleResult, _levels, _specials_on, dual_graph, speciality_oracle
 
 AMAX = 3  # largest c coefficient random_element draws
 BRUTE_MAX_SIZE = 8  # largest graph the cycle sweep also solves by brute force
@@ -125,6 +126,30 @@ def _minors_negative_definite(m) -> bool:
     )
 
 
+def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:
+    """Whether the products of the pieces in pairs fill their piece of
+    dimension dim: their integer shift rows stacked, with one ``rref`` call.
+    """
+    rows = []
+    for left, right in pairs:
+        rows.extend(_product_rows(params, left, right))
+    return len(rref(rows)) == dim
+
+
+def _speciality_by_rank(
+    params: Parameters, x: LElement, y: LElement, l_max: int | None = None
+) -> OracleResult:
+    """The oracle's answer with every level below L0 decided by ``_level_by_rank``.
+
+    The second route to each verdict and witness; it skips the oracle's
+    preconditions, so call it only on inputs the oracle accepts.
+    """
+    for l, dim, pairs in _levels(params, x, y, l_max):
+        if not _level_by_rank(params, pairs, dim):
+            return OracleResult(False, l)
+    return OracleResult(True)
+
+
 def sweep_cycles(count: int = 100, seed: int = 0):
     """Fundamental cycle: reduced, Laufer = brute force, canonical system exact.
 
@@ -181,7 +206,8 @@ def sweep_quiver(count: int = 50, seed: int = 0):
     for _ in range(count):
         params, x = random_element(rng, min_v=2, pmax=200)
         combin = quiver_combinatorial(params, x)
-        inter = quiver_from_intersection(dual_graph(params, x), specials(params, x))
+        g = dual_graph(params, x)
+        inter = quiver_from_intersection(g, _specials_on(params, x, g))
         if combin != inter:
             return {
                 "check": "quiver-cross-construction",
@@ -246,9 +272,11 @@ def _speciality_verdicts(count: int, seed: int):
 def sweep_speciality(count: int = 3, seed: int = 0):
     """Subspace oracle against the value-set classification, small grid.
 
-    Every level below the oracle's bound L0 is decided twice, from the
-    product supports and by rank.  Both verdicts are proofs, so every
-    module is compared with the classification.
+    Every level below the oracle's bound L0 is decided twice: by the
+    oracle's common-point rule on the product supports, and by stacking the
+    products' shift rows for one ``rref`` (``_speciality_by_rank``).  Both
+    verdicts are proofs, so every module is compared with the
+    classification.
     """
     _require_count(count)
     for where, oracle, by_rank, classified in _speciality_verdicts(count, seed):

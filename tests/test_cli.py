@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from starres import resolution
+from starres import reconalg, resolution
 from starres.cli import main
 from starres.resolution import dual_graph, graph_from_json, is_minimal, specials, to_dot
 from starres.lgroup import Parameters, normal_form
@@ -82,6 +82,23 @@ class TestImportFootprint:
         modules = loaded_modules([command, "--p", "3,5,5", "--x", "2,2,3"])
         assert "starres.resolution" in modules
         assert not modules & {"starres.reconalg", "starres.intersection", "starres.sweeps"}
+        # the oracle needs no linear algebra, so resolution loads neither
+        assert not modules & {"starres.linalg", "starres.gradedring"}
+
+    def test_resolution_import_footprint(self):
+        proc = spawn(
+            "-c",
+            "import json, sys, starres.resolution\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'starres')))",
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8")
+        assert set(json.loads(proc.stdout)) == {
+            "starres",
+            "starres.errors",
+            "starres.hj",
+            "starres.lgroup",
+            "starres.resolution",
+        }
 
 
 class TestISeries:
@@ -177,6 +194,20 @@ class TestQuiver:
         code, out, _ = run(capsys, "quiver", "--p", "2,3", "--x", "0,0", "--c", "2")
         assert code == 0
         assert json.loads(out)["degenerate"] is True
+
+    def test_degenerate_reuses_its_graph(self, capsys, monkeypatch):
+        # the CLI's graph serves the special modules; degree_zero_canonical
+        # builds the only other one
+        argv = ["quiver", "--p", "2,3", "--x", "0,0", "--c", "2"]
+        _, expected, _ = run(capsys, *argv)
+        calls = []
+        real = resolution.dual_graph
+        counted = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+        monkeypatch.setattr(resolution, "dual_graph", counted)
+        monkeypatch.setattr(reconalg, "dual_graph", counted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected
+        assert len(calls) == 2
 
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "quiver", "--p", "2,3,3", "--x", "1,1,1", "--format", "dot")

@@ -51,6 +51,12 @@ class TestParameters:
         with pytest.raises(ParameterError):
             Parameters(weights)
 
+    @pytest.mark.parametrize("point", [(0.1, 1), (0, 1.0), (1.5, 2)])
+    def test_rejects_float_points(self, point):
+        # refused, not expanded to the binary value of 0.1
+        with pytest.raises(ParameterError):
+            Parameters([2, 3], [point, (1, 0)])
+
     def test_rejects_zero_point(self):
         with pytest.raises(ParameterError):
             Parameters([2], [(0, 0)])
@@ -58,6 +64,8 @@ class TestParameters:
     def test_point_canonicalization(self):
         params = Parameters([2, 3], [("-1", "0"), ("1/2", "1/3")])
         assert params.points == ((1, 0), (3, 2))
+        params = Parameters([2, 3], [(Fraction(1, 2), 1), (4, Fraction(-2, 3))])
+        assert params.points == ((1, 2), (6, -1))
 
     def test_default_points_distinct(self):
         for n in range(8):

@@ -3,16 +3,18 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from starres import resolution
+from starres import linalg, resolution
 from starres.errors import NotMinimalError, PreconditionError
-from starres.gradedring import _support, graded_dim
+from starres.gradedring import graded_dim
 from starres.hj import hj_expand, i_set
 from starres.lgroup import (
     LElement,
     Parameters,
+    _support,
     c_element,
     canonical_point,
     degree_hom,
@@ -26,9 +28,6 @@ from starres.lgroup import (
 )
 from starres.resolution import (
     OracleResult,
-    _decide_level,
-    _level_by_rank,
-    _speciality_by_rank,
     blow_down_chain,
     dual_graph,
     graph_from_json,
@@ -38,7 +37,7 @@ from starres.resolution import (
     speciality_oracle,
     to_dot,
 )
-from starres.sweeps import random_element
+from starres.sweeps import _level_by_rank, _speciality_by_rank, random_element
 
 
 P355 = Parameters([3, 5, 5])
@@ -345,6 +344,18 @@ def _lowered(params, x, y):
 
 
 class TestLevelBound:
+    def test_levels_stop_at_bound(self):
+        # the levels read are exactly 0 .. k0 + max(p) - 1, k0 the least k >= 0
+        # at which the lowered y plus k*x has a nonzero piece
+        rng = random.Random(19)
+        for _ in range(60):
+            params, x = random_element(rng, nmax=4, pmax=7, coprime=True)
+            y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-6, 4))
+            low = _lowered(params, x, y)
+            k0 = next(k for k in itertools.count() if graded_dim(params, l_add(low, l_scale(k, x))))
+            levels = [l for l, _, _ in resolution._levels(params, x, y, None)]
+            assert levels == list(range(k0 + max(params.weights))), (params, x, y)
+
     def test_levels_from_bound_pass_by_rank(self):
         # the tail argument computed twice: each level past L0 is rebuilt from
         # the group law alone and filled by rank, through a whole period of x
@@ -380,22 +391,7 @@ def _pair(weights, arms, c_left, c_right=0):
 
 
 class TestLevelDecision:
-    def test_no_products(self):
-        assert _decide_level([], 3) is False
-        assert _decide_level([], 0) is True
-
-    def test_common_factor_fails(self):
-        assert _decide_level([frozenset({0, 1}), frozenset({1, 2})], 9) is False
-        assert _decide_level([frozenset({2})], 9) is False
-
-    def test_empty_support_passes(self):
-        assert _decide_level([frozenset({0, 1}), frozenset()], 3) is True
-
     def test_disjoint_pair_boundary(self):
-        q, r = frozenset({0, 1}), frozenset({2, 3})
-        assert _decide_level([q, r], 4) is True
-        assert _decide_level([q, r], 3) is None
-        # the same supports realised on four points and decided by rank:
         # l0*l1*S_1 + l2*l3*S_1 fills S_3, while l0*l1 and l2*l3 alone miss S_2
         params = Parameters([2, 2, 2, 2])
         w = (2, 2, 2, 2)
@@ -403,11 +399,7 @@ class TestLevelDecision:
         assert not _level_by_rank(params, [_pair(w, (1, 1, 0, 0), 0), _pair(w, (0, 0, 1, 1), 0)], 3)
 
     def test_triangle_of_quadrics(self):
-        # l0*l1, l1*l2, l0*l2 in S_2: {0,1} & {1,2} = {1} on 3 <= dim points,
-        # then {1} & {0,2} is empty, so they fill; two of them do not
-        supports = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
-        assert _decide_level(supports, 3) is True
-        assert _decide_level(supports[:2], 3) is False
+        # l0*l1, l1*l2, l0*l2 fill S_2 on any three points; two of them do not
         pairs = [
             _pair((2, 2, 2), (1, 1, 0), 0),
             _pair((2, 2, 2), (0, 1, 1), 0),
@@ -417,18 +409,10 @@ class TestLevelDecision:
             assert _level_by_rank(Parameters([2, 2, 2], points), pairs, 3) is True
             assert _level_by_rank(Parameters([2, 2, 2], points), pairs[:2], 3) is False
 
-    def test_supports_shrunk_in_turn(self):
-        # no two of these supports are disjoint, yet intersecting them in turn
-        # from the smallest reaches the empty set
-        supports = [frozenset({0, 1, 3, 4, 5}), frozenset({0, 2, 3}), frozenset({2, 4})]
-        assert _decide_level(supports, 14) is True
-        assert _decide_level([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 3})], 3) is True
-
     def test_hand_built_fallback(self):
-        # three chords l0*l1, l2*l3, l4*l5 of a conic in S_2: the supports stay
-        # undecided, and rank shows the answer depends on the points
-        supports = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]
-        assert _decide_level(supports, 3) is None
+        # three chords l0*l1, l2*l3, l4*l5 of a conic in S_2: no point is common,
+        # yet rank shows the answer depends on the points; the oracle's own
+        # levels never look like this (six points exceed dim = 3)
         w = (2,) * 6
         pairs = [
             _pair(w, (1, 1, 0, 0, 0, 0), 0),
@@ -440,22 +424,28 @@ class TestLevelDecision:
         concurrent = [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (1, -3)]
         assert _level_by_rank(Parameters([2] * 6, concurrent), pairs, 3) is False
 
-    def test_random_levels_decided_by_supports(self):
-        # arbitrary degrees y and random points: every level the oracle reads
-        # is settled by the supports, as rank settles it
+    def test_random_levels_decided_by_a_common_point(self):
+        # arbitrary degrees y and random points: every level with pairs has
+        # dim >= n + a - 1 + |Q_1|, and fills by rank iff no point lies in
+        # every support; a level without pairs fills iff dim = 0
         rng = random.Random(13)
-        levels = 0
+        with_pairs, a_zero = 0, 0
         for _ in range(120):
             params, x = random_element(rng, nmax=5, pmax=9, coprime=True)
             params = Parameters(params.weights, _random_points(rng, params.n))
             x = normal_form(params, x.arms, x.c_coeff)
-            y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-3, 3))
+            y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-6, 4))
             for l, dim, pairs in resolution._levels(params, x, y, None):
-                fills = _decide_level([frozenset(_support(a, b)) for a, b in pairs], dim)
-                assert fills is not None, (params, x, y, l)
+                if pairs:
+                    supports = [set(_support(a, b)) for a, b in pairs]
+                    assert dim >= params.n + x.c_coeff - 1 + len(supports[0]), (params, x, y, l)
+                    fills = not set.intersection(*supports)
+                    with_pairs += 1
+                    a_zero += x.c_coeff == 0
+                else:
+                    fills = dim == 0
                 assert fills == _level_by_rank(params, pairs, dim), (params, x, y, l)
-                levels += 1
-        assert levels > 500
+        assert with_pairs > 300 and a_zero > 50
 
 
 def _random_points(rng, n):
@@ -505,21 +495,24 @@ class TestOracleRoutes:
             seen.add(result.special)
         assert seen == {True, False}
 
-    def test_fallback_everywhere_keeps_verdicts(self, monkeypatch):
-        expected = [speciality_oracle(params, x, y, 8) for params, x, y, _ in _criterion9_modules(12)]
-        rref_calls = []
-        real_rref = resolution.rref
+    def test_oracle_runs_without_rref(self, monkeypatch):
+        # rref raises wherever a starres module binds it: the oracle never
+        # reaches it, and the criterion-9 verdicts are unchanged
+        modules = list(_criterion9_modules(12))
+        expected = [speciality_oracle(params, x, y) for params, x, y, _ in modules]
+        real_rref = linalg.rref
 
-        def counted_rref(rows):
-            rref_calls.append(len(rows))
-            return real_rref(rows)
+        def refused(rows):
+            raise AssertionError("rref called")
 
-        monkeypatch.setattr(resolution, "_decide_level", lambda supports, dim: None)
-        monkeypatch.setattr(resolution, "rref", counted_rref)
-        got = [speciality_oracle(params, x, y, 8) for params, x, y, _ in _criterion9_modules(12)]
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "starres" and getattr(module, "rref", None) is real_rref:
+                monkeypatch.setattr(module, "rref", refused)
+        got = [speciality_oracle(params, x, y) for params, x, y, _ in modules]
         assert got == expected
-        assert len(rref_calls) >= len(expected)
         assert {r.special for r in got} == {True, False}
+        with pytest.raises(AssertionError, match="rref called"):
+            _speciality_by_rank(P355, X355, generator(P355, 1))
 
 
 class TestDot:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from starres import sweeps
+from starres import reconalg, resolution, sweeps
 from starres.errors import PreconditionError
 from starres.lgroup import Parameters, normal_form
 from starres.resolution import OracleResult
@@ -69,3 +69,15 @@ def test_speciality_checked_against_rank_route(monkeypatch):
     found = sweeps.sweep_speciality(1)
     assert found["check"] == "certificate-vs-rank"
     assert (found["rank"], found["rank_witness"]) == (False, 7)
+
+
+def test_quiver_sweep_reuses_its_graph(monkeypatch):
+    # one dual graph inside quiver_combinatorial, one for the intersection
+    # route, whose special modules are read off that same graph
+    calls = []
+    real = resolution.dual_graph
+    counted = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+    for module in (resolution, reconalg, sweeps):
+        monkeypatch.setattr(module, "dual_graph", counted)
+    assert sweeps.sweep_quiver(10, 0) is None
+    assert len(calls) == 20
