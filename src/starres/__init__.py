@@ -13,6 +13,11 @@ that compiles and executes every module it imports, and ``starres iseries``
 needs ``hj`` alone.  The lookup is not cached in this namespace, so
 ``starres.<name>`` is always what the home module binds now, also while a
 test or a tracer patches it and after the patch is undone.
+
+The records (``Parameters``, ``LElement``, ``DualGraph`` and the rest) are
+NamedTuples for the same reason: frozen data classes would import the
+standard library's data-class module and ``inspect``, and execute generated
+methods per class.
 """
 
 import importlib

@@ -8,7 +8,8 @@ parse errors exit 2.  Output is deterministic byte-for-byte for fixed input
 Each subcommand handler imports the modules it runs; of the package, only
 ``errors`` is imported at module level.  A CLI call is a cold interpreter that
 compiles and executes every module it loads, and ``iseries`` needs ``hj``
-alone.
+alone.  The records are NamedTuples, not frozen data classes, so no call
+imports ``inspect`` or executes generated methods per record class.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _cmd_specials(args) -> int:
 
 def _cmd_quiver(args) -> int:
     from .reconalg import (
-        degree_zero_canonical,
-        quiver_combinatorial,
+        _degree_zero_canonical_on,
+        _quiver_combinatorial_on,
         quiver_from_intersection,
         quiver_to_dot,
     )
@@ -151,7 +152,7 @@ def _cmd_quiver(args) -> int:
     x = _build_element(params, args)
     g = dual_graph(params, x)
     if len(g.arms) >= 2:
-        quiver = quiver_combinatorial(params, x)
+        quiver = _quiver_combinatorial_on(params, x, g)
         degenerate = False
     else:
         quiver = quiver_from_intersection(g, _specials_on(params, x, g))
@@ -159,7 +160,7 @@ def _cmd_quiver(args) -> int:
     if args.format == "dot":
         print(quiver_to_dot(quiver))
         return 0
-    dz = degree_zero_canonical(params, x)
+    dz = _degree_zero_canonical_on(params, g)
     report = quiver.to_json()
     report["degree_zero"] = {"q": list(dz.weights), "mu": [list(pt) for pt in dz.points]}
     if degenerate:

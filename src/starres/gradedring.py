@@ -9,9 +9,9 @@ rationals throughout; only rational points are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import ParameterError, PreconditionError
 from .lgroup import LElement, Parameters, _support, l_add
@@ -42,8 +42,7 @@ def affine_value(point: tuple[int, int]) -> Fraction:
     return Fraction(w, u)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """coeff * t0^t0exp * t1^t1exp * prod x_i^arms[i], arms already reduced."""
 
     coeff: Fraction
@@ -185,8 +184,7 @@ def multiply(params: Parameters, u: RingElement, v: RingElement) -> RingElement:
     return RingElement(params, terms)
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     """A graded piece with its canonical monomial basis, ordered by t0-exponent."""
 
     params: Parameters
@@ -213,8 +211,7 @@ def graded_basis(params: Parameters, y: LElement) -> GradedPiece:
     return GradedPiece(params, y, basis)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of a graded piece, stored as a reduced row echelon matrix."""
 
     piece: GradedPiece

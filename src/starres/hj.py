@@ -9,15 +9,14 @@ as the oracle for the other two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class HJExpansion:
+class HJExpansion(NamedTuple):
     """r/a = alphas[0] - 1/(alphas[1] - 1/(...)), every entry >= 2.
 
     The expansion is empty exactly when a = r.
@@ -28,8 +27,7 @@ class HJExpansion:
     alphas: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ISeries:
+class ISeries(NamedTuple):
     """A sequence attached to r/a; for the i-series it strictly decreases to 0."""
 
     r: int
@@ -41,8 +39,7 @@ class ISeries:
         return frozenset(self.terms)
 
 
-@dataclass(frozen=True)
-class WeightGrid:
+class WeightGrid(NamedTuple):
     """The monomial region used by the grid characterization of I(r, a).
 
     ``region`` maps exponent pairs (i, j) to the weight (i + a*j) mod r.  It

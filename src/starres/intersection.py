@@ -31,7 +31,6 @@ no canonical cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from typing import NamedTuple
@@ -39,8 +38,7 @@ from typing import NamedTuple
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(NamedTuple):
     """Symmetric matrix: diagonal = self-intersections, off-diagonal = edge counts."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -146,7 +144,8 @@ def pair(m: IntersectionMatrix, a, b) -> Fraction:
 
 
 def _pair_with_vertex(m: IntersectionMatrix, z, i: int):
-    return sum(zj * m.entries[i][j] for j, zj in enumerate(z))
+    row = m.entries[i]  # a record field read costs more than a local one
+    return sum(zj * row[j] for j, zj in enumerate(z))
 
 
 def fundamental_cycle(m: IntersectionMatrix) -> tuple[int, ...]:
@@ -195,20 +194,21 @@ def fundamental_cycle_brute(m: IntersectionMatrix, bound: int = 4) -> tuple[int,
     more than 4^10 points raises PreconditionError before anything is
     enumerated.
     """
-    points = bound**m.size
+    size = m.size
+    points = bound**size
     if points > _BRUTE_MAX_POINTS:
         raise PreconditionError(
-            f"brute-force box [1, {bound}]^{m.size} has {points} points, more than 4^10"
+            f"brute-force box [1, {bound}]^{size} has {points} points, more than 4^10"
         )
     candidates = [
         z
-        for z in product(range(1, bound + 1), repeat=m.size)
-        if all(_pair_with_vertex(m, z, i) <= 0 for i in range(m.size))
+        for z in product(range(1, bound + 1), repeat=size)
+        if all(_pair_with_vertex(m, z, i) <= 0 for i in range(size))
     ]
     if not candidates:
         raise PreconditionError(f"no candidate cycle within the box [1, {bound}]^V")
-    low = tuple(min(z[i] for z in candidates) for i in range(m.size))
-    if any(_pair_with_vertex(m, low, i) > 0 for i in range(m.size)):
+    low = tuple(min(z[i] for z in candidates) for i in range(size))
+    if any(_pair_with_vertex(m, low, i) > 0 for i in range(size)):
         raise PreconditionError("coordinatewise minimum is not itself a candidate")
     return low
 

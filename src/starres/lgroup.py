@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParameterError, PreconditionError
 
@@ -53,14 +52,17 @@ def default_points(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pts[:n])
 
 
-@dataclass(frozen=True)
-class Parameters:
-    """Weight vector p (all p_i >= 2) plus pairwise-distinct points of P^1."""
-
+class _ParameterFields(NamedTuple):  # a NamedTuple body may not define __new__
     weights: tuple[int, ...]
     points: tuple[tuple[int, int], ...]
 
-    def __init__(self, weights: Iterable[int], points=None):
+
+class Parameters(_ParameterFields):
+    """Weight vector p (all p_i >= 2) plus pairwise-distinct points of P^1."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights: Iterable[int], points=None):
         weights = tuple(_as_int(p, "weight") for p in weights)
         if any(p < 2 for p in weights):
             raise ParameterError(f"weights must all be >= 2, got {weights}")
@@ -77,8 +79,7 @@ class Parameters:
                 u2, w2 = pts[j]
                 if u1 * w2 == u2 * w1:
                     raise ParameterError(f"points {i} and {j} coincide: ({u1}:{w1})")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "points", pts)
+        return super().__new__(cls, weights, pts)
 
     @property
     def n(self) -> int:
@@ -97,8 +98,7 @@ class Parameters:
         return cls(obj["p"], obj.get("lambda"))
 
 
-@dataclass(frozen=True)
-class LElement:
+class LElement(NamedTuple):
     """Normal form sum(arms[i]*x_i) + c_coeff*c with 0 <= arms[i] < p_i."""
 
     weights: tuple[int, ...]
@@ -224,8 +224,7 @@ def is_torsion(a: LElement) -> bool:
     return degree_hom(a) == 0
 
 
-@dataclass(frozen=True)
-class SpecialElements:
+class SpecialElements(NamedTuple):
     """The distinguished elements c, omega = (n-2)c - sum x_i, s = sum x_i."""
 
     c: LElement

@@ -13,9 +13,9 @@ is the module's central test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .errors import NotMinimalError, ParameterError, PreconditionError, StarresError
 from .gradedring import RingElement, affine_value, graded_basis, graded_dim, ring_one, span
@@ -24,8 +24,7 @@ from .lgroup import LElement, Parameters, l_neg, l_scale, normal_form, special_e
 from .resolution import DualGraph, ModuleLabel, _specials_on, dual_graph, specials
 
 
-@dataclass(frozen=True)
-class QuiverData:
+class QuiverData(NamedTuple):
     """Vertex names plus arrow-count and relation-count matrices.
 
     The extending vertex (the ring summand) is always last.
@@ -100,7 +99,11 @@ def quiver_combinatorial(params: Parameters, x: LElement) -> QuiverData:
     Needs at least two arms; fewer is degenerate and handled by the
     intersection route.
     """
-    g = dual_graph(params, x)
+    return _quiver_combinatorial_on(params, x, dual_graph(params, x))
+
+
+def _quiver_combinatorial_on(params: Parameters, x: LElement, g: DualGraph) -> QuiverData:
+    """``quiver_combinatorial`` on the dual graph g of x, already built and checked."""
     v = len(g.arms)
     if v <= 1:
         raise PreconditionError("combinatorial quiver needs at least two arms")
@@ -147,8 +150,7 @@ def quiver_to_dot(q: QuiverData) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CanonicalAlgebraDesc:
+class CanonicalAlgebraDesc(NamedTuple):
     """Parameters of the star-quiver algebra appearing in degree zero."""
 
     weights: tuple[int, ...]
@@ -173,7 +175,11 @@ def degree_zero_canonical(params: Parameters, x: LElement) -> CanonicalAlgebraDe
     Arm i with a_i != 0 contributes weight m_i + 1 (the arm length plus one)
     and keeps its marked point.
     """
-    g = dual_graph(params, x)
+    return _degree_zero_canonical_on(params, dual_graph(params, x))
+
+
+def _degree_zero_canonical_on(params: Parameters, g: DualGraph) -> CanonicalAlgebraDesc:
+    """``degree_zero_canonical`` on a dual graph g, already built and checked."""
     if "non-minimal" in g.flags:
         raise NotMinimalError("degree-zero description needs x outside [0, c]")
     weights = tuple(len(arm) + 1 for arm in g.arms)
@@ -185,8 +191,7 @@ def degree_zero_canonical(params: Parameters, x: LElement) -> CanonicalAlgebraDe
     return CanonicalAlgebraDesc(weights, points, rels)
 
 
-@dataclass(frozen=True)
-class WahlPresentation:
+class WahlPresentation(NamedTuple):
     """Generators of the degree-one Veronese and their determinantal matrix."""
 
     params: Parameters
@@ -265,8 +270,7 @@ def wahl_generators(params: Parameters) -> WahlPresentation:
     )
 
 
-@dataclass(frozen=True)
-class WahlReport:
+class WahlReport(NamedTuple):
     ok: bool
     minor_failures: tuple[tuple[int, int], ...]
     dim_failures: tuple[tuple[int, int, int], ...]
@@ -369,8 +373,7 @@ def wahl_special_ideals(params: Parameters) -> tuple[tuple[ModuleLabel, str], ..
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LabeledArrow:
+class LabeledArrow(NamedTuple):
     source: str
     target: str
     color: str
@@ -378,8 +381,7 @@ class LabeledArrow:
     z_degree: int
 
 
-@dataclass(frozen=True)
-class WahlRelations:
+class WahlRelations(NamedTuple):
     arrows: tuple[LabeledArrow, ...]
     relations: tuple[str, ...]
 
@@ -447,8 +449,7 @@ DYNKIN_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class DomesticInfo:
+class DomesticInfo(NamedTuple):
     triple: tuple[int, int, int]
     m: int
     group: str

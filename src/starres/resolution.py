@@ -11,8 +11,8 @@ I(p_j, p_j - a_j), one module per exceptional curve plus the ring itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import count
+from typing import NamedTuple
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
 from .hj import hj_expand, i_set
@@ -33,8 +33,7 @@ CHAIN = "chain"
 STAR = "star"
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Labelled tree with a distinguished center and arms listed center-outward.
 
     ``arm_sources[k]`` records which weight index produced arm k (None for
@@ -125,10 +124,8 @@ def dual_graph(params: Parameters, x: LElement) -> DualGraph:
     for i in nonzero:
         p, ai = params.weights[i], x.arms[i]
         arm_labels.append([-q for q in hj_expand(p, p - ai).alphas])
-    return replace(
-        make_star(-(a + len(nonzero)), arm_labels, arm_sources=tuple(nonzero)),
-        flags=flags,
-    )
+    star = make_star(-(a + len(nonzero)), arm_labels, arm_sources=tuple(nonzero))
+    return star._replace(flags=flags)
 
 
 def is_minimal(params: Parameters, x: LElement) -> bool:
@@ -158,11 +155,10 @@ def blow_down_chain(g: DualGraph) -> DualGraph:
     if len(labels) == 1 and labels[0] == -1:
         flags += ("exceptional-free",)
     out = make_star(labels[0], [labels[1:]] if len(labels) > 1 else [])
-    return replace(out, flags=flags)
+    return out._replace(flags=flags)
 
 
-@dataclass(frozen=True)
-class ModuleLabel:
+class ModuleLabel(NamedTuple):
     """A rank-one module in the classification, with its graph vertex if any.
 
     kind "free" is the ring itself (no vertex), "c" the degree-c shift at the
@@ -207,8 +203,7 @@ def _specials_on(params: Parameters, x: LElement, g: DualGraph) -> tuple[ModuleL
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     special: bool
     witness: int | None = None
 

@@ -100,6 +100,28 @@ class TestImportFootprint:
             "starres.resolution",
         }
 
+    @pytest.mark.parametrize("name", [*sorted(GOLDEN), "import starres.reconalg"])
+    def test_no_dataclasses_or_inspect(self, name):
+        # the records are NamedTuples: a cold call loads neither module
+        report = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        if name in GOLDEN:
+            # as `python -m starres.cli` runs it
+            script = (
+                "import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('starres.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert not exc.code, exc.code\n"
+                + report
+            )
+            proc = spawn("-c", script, *GOLDEN[name]["argv"])
+            expected = GOLDEN[name]["stdout"] + "[]\n"
+        else:
+            proc = spawn("-c", f"import sys, starres.reconalg\n{report}")
+            expected = "[]\n"
+        assert proc.returncode == 0, proc.stderr.decode("utf-8")
+        assert proc.stdout.decode("utf-8") == expected
+
 
 class TestISeries:
     def test_17_10(self, capsys):
@@ -195,10 +217,9 @@ class TestQuiver:
         assert code == 0
         assert json.loads(out)["degenerate"] is True
 
-    def test_degenerate_reuses_its_graph(self, capsys, monkeypatch):
-        # the CLI's graph serves the special modules; degree_zero_canonical
-        # builds the only other one
-        argv = ["quiver", "--p", "2,3", "--x", "0,0", "--c", "2"]
+    @staticmethod
+    def _graphs_built(capsys, monkeypatch, argv):
+        """dual_graph calls of one CLI run, whose stdout must not change."""
         _, expected, _ = run(capsys, *argv)
         calls = []
         real = resolution.dual_graph
@@ -207,7 +228,19 @@ class TestQuiver:
         monkeypatch.setattr(reconalg, "dual_graph", counted)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out == expected
-        assert len(calls) == 2
+        return len(calls)
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_builds_one_graph(self, capsys, monkeypatch, fmt):
+        # the CLI's graph serves the quiver, its special modules and the
+        # degree-zero data
+        argv = ["quiver", "--p", "3,5,5", "--x", "2,2,3", "--format", fmt]
+        assert self._graphs_built(capsys, monkeypatch, argv) == 1
+
+    def test_degenerate_reuses_its_graph(self, capsys, monkeypatch):
+        # the intersection route and the degree-zero data read the CLI's graph
+        argv = ["quiver", "--p", "2,3", "--x", "0,0", "--c", "2"]
+        assert self._graphs_built(capsys, monkeypatch, argv) == 1
 
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "quiver", "--p", "2,3,3", "--x", "1,1,1", "--format", "dot")

@@ -57,6 +57,11 @@ class TestParameters:
         with pytest.raises(ParameterError):
             Parameters([2, 3], [point, (1, 0)])
 
+    @pytest.mark.parametrize("points", [[(1, 0)], [(1, 0), (0, 1), (1, 1)]])
+    def test_rejects_wrong_point_count(self, points):
+        with pytest.raises(ParameterError):
+            Parameters([2, 3], points)
+
     def test_rejects_zero_point(self):
         with pytest.raises(ParameterError):
             Parameters([2], [(0, 0)])
@@ -79,6 +84,31 @@ class TestParameters:
         params = Parameters([3, 5, 5])
         blob = json.dumps(params.to_json())
         assert Parameters.from_json(json.loads(blob)) == params
+
+
+class TestRecords:
+    """Parameters and LElement are immutable NamedTuples."""
+
+    def test_repr_text(self):
+        params = Parameters([3, 5, 5])
+        assert repr(params) == "Parameters(weights=(3, 5, 5), points=((1, 0), (0, 1), (1, 1)))"
+        x = normal_form(params, [2, 2, 3], 0)
+        assert repr(x) == "LElement(weights=(3, 5, 5), arms=(2, 2, 3), c_coeff=0)"
+
+    def test_fields_are_read_only(self):
+        # AttributeError, the base of a frozen dataclass's FrozenInstanceError
+        params = Parameters([3, 5, 5])
+        x = normal_form(params, [2, 2, 3], 0)
+        for record, name in ((params, "weights"), (params, "points"), (x, "c_coeff")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ())
+
+    def test_tuple_of_its_fields(self):
+        params = Parameters([2, 3])
+        assert params == ((2, 3), ((1, 0), (0, 1)))
+        assert len(params) == 2 and params.n == 2
+        x = normal_form(params, [1, 2], 1)
+        assert tuple(x) == (x.weights, x.arms, x.c_coeff) == ((2, 3), (1, 2), 1)
 
 
 class TestNormalForm:

@@ -122,6 +122,38 @@ class TestDualGraph:
         assert graph_from_json(g.to_json()) == g
 
 
+class TestGraphRecord:
+    """DualGraph, ModuleLabel and OracleResult are NamedTuples."""
+
+    def test_repr_text(self):
+        assert repr(dual_graph(P355, X355)) == (
+            "DualGraph(labels=(-3, -3, -2, -3, -3, -2), "
+            "edges=((0, 1), (0, 2), (2, 3), (0, 4), (4, 5)), shape='star', center=0, "
+            "arms=((1,), (2, 3), (4, 5)), arm_sources=(0, 1, 2), flags=())"
+        )
+
+    def test_fields_are_read_only(self):
+        g = dual_graph(P355, X355)
+        with pytest.raises(AttributeError):
+            g.flags = ("non-minimal",)
+        with pytest.raises(AttributeError):
+            specials(P355, X355)[1].vertex = 3
+
+    def test_non_minimal_flag_carried_by_replace(self):
+        g = dual_graph(P355, l_scale(2, generator(P355, 0)))
+        assert g.flags == ("non-minimal",)
+        assert g._replace(flags=()) == make_star(-1, [[-3]], arm_sources=(0,))
+        # blow_down_chain drops "non-minimal" and keeps every other flag
+        chain = make_star(-2, [[-1, -3]])._replace(flags=("non-minimal", "note"))
+        assert blow_down_chain(chain).flags == ("note", "exceptional-free")
+        assert blow_down_chain(g).flags == ()
+
+    def test_oracle_result_truth(self):
+        # a non-empty tuple, yet falsy when not special
+        assert not OracleResult(False, 2) and OracleResult(True)
+        assert OracleResult(False, 2) == (False, 2) and len(OracleResult(True)) == 2
+
+
 class TestMinimality:
     def test_interval_cases(self):
         assert not is_minimal(P355, l_scale(2, generator(P355, 0)))
