@@ -31,13 +31,11 @@ _EXPORTS = {
         "LElement",
         "Parameters",
         "SpecialElements",
-        "all_ai_one",
         "coprime_criterion",
         "in_interval_0_c",
         "is_positive",
         "is_torsion",
         "l_add",
-        "l_leq",
         "l_neg",
         "l_scale",
         "normal_form",
@@ -52,8 +50,6 @@ _EXPORTS = {
         "i_series",
         "i_set",
         "ito_oracle",
-        "j_series",
-        "residue",
         "residue_criterion",
     ),
     "gradedring": (
@@ -80,10 +76,8 @@ _EXPORTS = {
         "DualGraph",
         "ModuleLabel",
         "OracleResult",
-        "blow_down_chain",
         "dual_graph",
         "graph_from_json",
-        "is_minimal",
         "make_star",
         "specials",
         "speciality_oracle",

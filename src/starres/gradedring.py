@@ -103,16 +103,6 @@ class RingElement:
         keys = sorted(self.terms)
         return tuple(Monomial(self.terms[k], k[0], k[1], k[2]) for k in keys)
 
-    def l_degree(self) -> LElement | None:
-        """Common degree of all terms; None for zero, error if inhomogeneous."""
-        degs = {(k[2], k[0] + k[1]) for k in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise PreconditionError("element is not homogeneous")
-        arms, a = next(iter(degs))
-        return LElement(self.params.weights, arms, a)
-
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         terms = dict(self.terms)

@@ -1,4 +1,4 @@
-"""Hirzebruch-Jung continued fractions and the i/j-series combinatorics.
+"""Hirzebruch-Jung continued fractions and the i-series combinatorics.
 
 Three independent characterizations of the set I(r, a) live here: the
 defining recursion, a brute-force monomial-grid enumeration, and a residue
@@ -108,13 +108,6 @@ def i_set(r: int, a: int) -> frozenset[int]:
     return i_series(r, a).as_set
 
 
-def j_series(r: int, a: int) -> ISeries:
-    """The reversal of the i-series of r/(r-a); increases from 0 up to r."""
-    _check_range(r, a, allow_equal=False)
-    comp = i_series(r, r - a)
-    return ISeries(r, a, tuple(reversed(comp.terms)))
-
-
 def ito_region(r: int, a: int) -> WeightGrid:
     """Brute-force the off-axis monomial region for the 1/r(1, a) action.
 
@@ -150,13 +143,6 @@ def ito_oracle(r: int, a: int) -> frozenset[int]:
     """Values in [0, r] missing from the region's weights; equals i_set(r, a)."""
     missing = set(ito_region(r, a).region.values())
     return frozenset(u for u in range(r + 1) if u not in missing)
-
-
-def residue(k: int, r: int) -> int:
-    """The representative of k mod r inside [0, r-1]."""
-    if r < 1:
-        raise PreconditionError(f"modulus must be positive, got {r}")
-    return k % r
 
 
 def residue_criterion(r: int, a: int, u: int) -> bool:

@@ -90,13 +90,6 @@ class Parameters(_ParameterFields):
         """First two points are (1:0) and (0:1)."""
         return self.n >= 2 and self.points[0] == (1, 0) and self.points[1] == (0, 1)
 
-    def to_json(self) -> dict:
-        return {"p": list(self.weights), "lambda": [list(pt) for pt in self.points]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Parameters":
-        return cls(obj["p"], obj.get("lambda"))
-
 
 class LElement(NamedTuple):
     """Normal form sum(arms[i]*x_i) + c_coeff*c with 0 <= arms[i] < p_i."""
@@ -113,10 +106,6 @@ class LElement(NamedTuple):
 
     def to_json(self) -> dict:
         return {"xi": list(self.arms), "c": self.c_coeff}
-
-
-def element_from_json(params: Parameters, obj: dict) -> LElement:
-    return normal_form(params, obj["xi"], obj.get("c", 0))
 
 
 def _check_same_group(a: LElement, b: LElement) -> None:
@@ -140,10 +129,6 @@ def normal_form(params: Parameters, coeffs: Iterable[int], c: int = 0) -> LEleme
         arms.append(r)
         carry += q
     return LElement(params.weights, tuple(arms), carry)
-
-
-def zero(params: Parameters) -> LElement:
-    return LElement(params.weights, (0,) * params.n, 0)
 
 
 def generator(params: Parameters, i: int) -> LElement:
@@ -202,11 +187,6 @@ def _support(y: LElement, z: LElement) -> list[int]:
 def is_positive(a: LElement) -> bool:
     """Membership in the positive cone: c coefficient >= 0 in normal form."""
     return a.c_coeff >= 0
-
-
-def l_leq(a: LElement, b: LElement) -> bool:
-    """a <= b iff b - a is positive."""
-    return is_positive(l_add(b, l_neg(a)))
 
 
 def in_interval_0_c(a: LElement) -> bool:
@@ -270,13 +250,6 @@ def reduce_parameters(params: Parameters, x: LElement) -> tuple[Parameters, LEle
         new_arms.append(x.arms[i] // d)
     new_params = Parameters(new_weights, [params.points[i] for i in keep])
     return new_params, LElement(new_params.weights, tuple(new_arms), x.c_coeff)
-
-
-def all_ai_one(params: Parameters, x: LElement) -> bool:
-    """Whether x = sum(x_i) + a*c; only meaningful under the coprime criterion."""
-    if not coprime_criterion(params, x):
-        raise PreconditionError("all_ai_one requires the coprime criterion to hold")
-    return all(a == 1 for a in x.arms)
 
 
 def _require_element_of(params: Parameters, x: LElement) -> None:

@@ -157,10 +157,6 @@ class CanonicalAlgebraDesc(NamedTuple):
     points: tuple[tuple[int, int], ...]
     relations: tuple[str, ...]
 
-    @property
-    def arm_lengths(self) -> tuple[int, ...]:
-        return tuple(q - 1 for q in self.weights)
-
 
 def _point_str(point: tuple[int, int]) -> str:
     u, w = point
@@ -270,6 +266,22 @@ def wahl_generators(params: Parameters) -> WahlPresentation:
     )
 
 
+# The most words of degree <= max_degree wahl_verify multiplies out.  Their
+# number grows like max_degree^(n+1): (2, 3, 4) at degree 30 has 2,723 words,
+# (2, 3, 4, 5) at degree 30 has 5,325, and each word is a product of ring
+# elements.  The checks at degree 12 multiply out at most a few hundred.
+_WAHL_MAX_WORDS = 4000
+
+
+def _word_count(degrees, max_degree: int) -> int:
+    """The number of words of degree 1..max_degree in generators of these degrees."""
+    ways = [1] + [0] * max_degree  # ways[t] = number of words of degree t
+    for d in degrees:
+        for t in range(d, max_degree + 1):
+            ways[t] += ways[t - d]
+    return sum(ways) - 1
+
+
 class WahlReport(NamedTuple):
     ok: bool
     minor_failures: tuple[tuple[int, int], ...]
@@ -283,10 +295,17 @@ def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
     generator monomials, and for each N <= max_degree the words of degree N
     in the generators must span the whole graded piece, whose dimension is
     sum(floor(N/p_i)) + 1.  A range with no degree in it checks nothing,
-    so ``max_degree`` below 1 is refused.
+    so ``max_degree`` below 1 is refused, and so is a range with more than
+    ``_WAHL_MAX_WORDS`` words, counted before any element is built.
     """
     if max_degree < 1:
         raise PreconditionError(f"max_degree must be at least 1, got {max_degree}")
+    # the u_i have the degrees p_i in some order and v has degree 1, so the
+    # powers of v alone make max_degree words and the count may stop past the limit
+    if _word_count((*params.weights, 1), min(max_degree, _WAHL_MAX_WORDS + 1)) > _WAHL_MAX_WORDS:
+        raise PreconditionError(
+            f"the words of degree <= {max_degree} number more than {_WAHL_MAX_WORDS}"
+        )
     pres = wahl_generators(params)
     n = params.n
     top, bottom = pres.matrix

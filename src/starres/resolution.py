@@ -37,8 +37,8 @@ class DualGraph(NamedTuple):
     """Labelled tree with a distinguished center and arms listed center-outward.
 
     ``arm_sources[k]`` records which weight index produced arm k (None for
-    synthetic graphs).  ``flags`` carries advisory notes such as
-    "non-minimal".
+    synthetic graphs).  ``flags`` holds "non-minimal" when the graph comes
+    from an x in [0, c].
     """
 
     labels: tuple[int, ...]
@@ -126,36 +126,6 @@ def dual_graph(params: Parameters, x: LElement) -> DualGraph:
         arm_labels.append([-q for q in hj_expand(p, p - ai).alphas])
     star = make_star(-(a + len(nonzero)), arm_labels, arm_sources=tuple(nonzero))
     return star._replace(flags=flags)
-
-
-def is_minimal(params: Parameters, x: LElement) -> bool:
-    """The graded resolution is minimal exactly when x lies outside [0, c]."""
-    _require_valid(params, x)
-    return not in_interval_0_c(x)
-
-
-def blow_down_chain(g: DualGraph) -> DualGraph:
-    """Contract (-1)-vertices of a chain until none remain or one vertex is left.
-
-    Contracting a vertex raises each neighbor's label by one and joins the
-    neighbors.  A final single (-1)-vertex is flagged "exceptional-free": it
-    contracts to a smooth point.
-    """
-    if g.shape not in (CHAIN, POINT):
-        raise PreconditionError(f"blow-down works on chains, got a {g.shape}")
-    labels = [g.labels[g.center]] + [g.labels[i] for arm in g.arms for i in arm]
-    while len(labels) > 1 and any(l == -1 for l in labels):
-        k = labels.index(-1)
-        if k > 0:
-            labels[k - 1] += 1
-        if k + 1 < len(labels):
-            labels[k + 1] += 1
-        del labels[k]
-    flags = tuple(f for f in g.flags if f != "non-minimal")
-    if len(labels) == 1 and labels[0] == -1:
-        flags += ("exceptional-free",)
-    out = make_star(labels[0], [labels[1:]] if len(labels) > 1 else [])
-    return out._replace(flags=flags)
 
 
 class ModuleLabel(NamedTuple):

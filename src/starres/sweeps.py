@@ -270,7 +270,7 @@ def _speciality_verdicts(count: int, seed: int):
 
 
 def sweep_speciality(count: int = 3, seed: int = 0):
-    """Subspace oracle against the value-set classification, small grid.
+    """Speciality oracle against the value-set classification, small grid.
 
     Every level below the oracle's bound L0 is decided twice: by the
     oracle's common-point rule on the product supports, and by stacking the

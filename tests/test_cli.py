@@ -4,14 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from starres import reconalg, resolution
 from starres.cli import main
-from starres.resolution import dual_graph, graph_from_json, is_minimal, specials, to_dot
-from starres.lgroup import Parameters, normal_form
+from starres.resolution import dual_graph, graph_from_json, specials, to_dot
+from starres.lgroup import Parameters, in_interval_0_c, normal_form
 
 
 def run(capsys, *argv):
@@ -178,14 +179,15 @@ def _library_stdout(command, fmt, params, x):
     """What graph and specials print, composed from the public library calls."""
     g = dual_graph(params, x)
     labels = specials(params, x) if command == "specials" else None
+    minimal = not in_interval_0_c(x)
     if fmt == "dot":
         return to_dot(g, labels) + "\n"
     if fmt == "text" and labels is None:
-        return f"shape: {g.shape}  labels: {list(g.labels)}  minimal: {is_minimal(params, x)}\n"
+        return f"shape: {g.shape}  labels: {list(g.labels)}  minimal: {minimal}\n"
     if fmt == "text":
         vertices = ["-" if lab.vertex is None else lab.vertex for lab in labels]
         return "".join(f"{lab.display}\tvertex {v}\n" for lab, v in zip(labels, vertices))
-    report = {"graph": g.to_json(), "minimal": is_minimal(params, x)}
+    report = {"graph": g.to_json(), "minimal": minimal}
     if labels is not None:
         report["specials"] = [{"label": lab.display, "vertex": lab.vertex} for lab in labels]
     return json.dumps(report, sort_keys=True) + "\n"
@@ -270,6 +272,18 @@ class TestErrors:
         payload = json.loads(out)
         assert payload["code"] == "precondition"
         assert "Dynkin" in payload["message"]
+
+    @pytest.mark.parametrize("max_degree", ["30", "1000000000"])
+    def test_too_many_wahl_words_exit_one_at_once(self, capsys, max_degree):
+        # (2, 3, 4, 5) has 5,325 words of degree <= 30; the limit is 4,000
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "wahl", "--p", "2,3,4,5", "--max-degree", max_degree)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert json.loads(out) == {
+            "code": "precondition",
+            "message": f"the words of degree <= {max_degree} number more than 4000",
+        }
 
     def test_invalid_points_exit_one(self, capsys):
         code, out, _ = run(capsys, "graph", "--p", "2,3", "--lambda", "1:0,2:0", "--x", "1,1")

@@ -1,4 +1,4 @@
-"""Continued fractions, i/j-series, and the three-way oracle equivalence."""
+"""Continued fractions, the i-series, and the three-way oracle equivalence."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,8 +13,6 @@ from starres.hj import (
     i_set,
     ito_oracle,
     ito_region,
-    j_series,
-    residue,
     residue_criterion,
 )
 
@@ -103,21 +101,6 @@ class TestISeries:
                 assert full == (a == r - 1), (r, a)
 
 
-class TestJSeries:
-    def test_5_2(self):
-        assert j_series(5, 2).terms == (0, 1, 3, 5)
-
-    def test_2_1(self):
-        assert j_series(2, 1).terms == (0, 1, 2)
-
-    def test_17_7_is_reverse(self):
-        assert j_series(17, 7).terms == tuple(reversed(i_series(17, 10).terms))
-
-    def test_rejects_a_equal_r(self):
-        with pytest.raises(PreconditionError):
-            j_series(5, 5)
-
-
 def _coprime_pairs(rmax):
     return [(r, a) for r in range(2, rmax + 1) for a in range(1, r) if gcd(r, a) == 1]
 
@@ -142,8 +125,8 @@ def _region_by_scan(r, a):
 def _residue_by_rescan(r, a, u):
     """The residue criterion rescanning [m*a - 1]_r over m <= l for every l."""
     for l in range(1, r + 1):
-        lhs = residue(u + l * a - 1, r)
-        if all(lhs < residue(m * a - 1, r) for m in range(1, l + 1)):
+        lhs = (u + l * a - 1) % r
+        if all(lhs < (m * a - 1) % r for m in range(1, l + 1)):
             return False
     return True
 
@@ -194,11 +177,6 @@ class TestGrid:
 
 
 class TestResidue:
-    def test_values(self):
-        assert residue(-1, 5) == 4
-        assert residue(7, 5) == 2
-        assert residue(0, 3) == 0
-
     def test_criterion_examples(self):
         assert residue_criterion(5, 2, 1)  # 1 in I(5, 3)
         assert not residue_criterion(5, 2, 2)  # 2 not in I(5, 3)

@@ -11,23 +11,19 @@ from starres.gradedring import graded_dim
 from starres.lgroup import (
     LElement,
     Parameters,
-    all_ai_one,
     c_element,
     coprime_criterion,
     default_points,
-    element_from_json,
     generator,
     in_interval_0_c,
     is_positive,
     is_torsion,
     l_add,
-    l_leq,
     l_neg,
     l_scale,
     normal_form,
     reduce_parameters,
     special_elements,
-    zero,
 )
 
 
@@ -79,11 +75,6 @@ class TestParameters:
     def test_normalized_flag(self):
         assert Parameters([2, 3]).is_normalized
         assert not Parameters([2, 3], [(1, 1), (0, 1)]).is_normalized
-
-    def test_json_round_trip(self):
-        params = Parameters([3, 5, 5])
-        blob = json.dumps(params.to_json())
-        assert Parameters.from_json(json.loads(blob)) == params
 
 
 class TestRecords:
@@ -162,7 +153,7 @@ class TestGroupLaws:
         params = Parameters([2, 4, 5])
         for _ in range(50):
             x = rand_element(rng, params)
-            assert l_add(x, l_neg(x)) == zero(params)
+            assert l_add(x, l_neg(x)) == normal_form(params, [0] * params.n)
 
     def test_commutative_associative(self):
         rng = random.Random(3)
@@ -178,8 +169,8 @@ class TestGroupLaws:
             assert l_scale(p, generator(params, i)) == c_element(params)
 
     def test_mismatched_weights(self):
-        a = zero(Parameters([2, 3]))
-        b = zero(Parameters([2, 4]))
+        a = normal_form(Parameters([2, 3]), [0, 0])
+        b = normal_form(Parameters([2, 4]), [0, 0])
         with pytest.raises(ParameterError):
             l_add(a, b)
 
@@ -201,12 +192,6 @@ class TestOrder:
             if is_positive(x) and is_positive(l_neg(x)):
                 assert x.c_coeff == 0 and l_neg(x).c_coeff == 0
 
-    def test_leq(self):
-        params = Parameters([3, 5, 5])
-        x = normal_form(params, [2, 2, 3], 0)
-        assert l_leq(zero(params), x)
-        assert not l_leq(x, zero(params))
-
     def test_interval(self):
         params = Parameters([3, 5, 5])
         assert in_interval_0_c(l_scale(2, generator(params, 0)))
@@ -219,7 +204,7 @@ class TestOrder:
         c = c_element(params)
         for _ in range(100):
             x = rand_element(rng, params)
-            expected = is_positive(x) and l_leq(x, c)
+            expected = is_positive(x) and is_positive(l_add(c, l_neg(x)))
             assert in_interval_0_c(x) == expected
 
 
@@ -229,7 +214,7 @@ class TestTorsion:
         x = normal_form(params, [1, -1], 0)
         assert (x.arms, x.c_coeff) == ((1, 1), -1)
         assert is_torsion(x)
-        assert l_scale(2, x) == zero(params)
+        assert l_scale(2, x) == normal_form(params, [0] * params.n)
 
     def test_c_not_torsion(self):
         params = Parameters([2, 2])
@@ -334,29 +319,11 @@ class TestReduceParameters:
                 )
 
 
-class TestAllAiOne:
-    def test_s_a_two(self):
-        params = Parameters([2, 3, 4])
-        assert all_ai_one(params, special_elements(params).s_a(2))
-
-    def test_355_example(self):
-        params = Parameters([3, 5, 5])
-        assert not all_ai_one(params, normal_form(params, [2, 2, 3], 0))
-
-    def test_23(self):
-        params = Parameters([2, 3])
-        assert all_ai_one(params, normal_form(params, [1, 1], 0))
-
-    def test_requires_coprime(self):
-        params = Parameters([2, 4])
-        with pytest.raises(PreconditionError):
-            all_ai_one(params, normal_form(params, [0, 2], 1))
-
-
 class TestJson:
     def test_element_round_trip(self):
         params = Parameters([3, 5, 5])
         x = normal_form(params, [2, 2, 3], 0)
         blob = json.dumps(x.to_json(), sort_keys=True)
         assert blob == '{"c": 0, "xi": [2, 2, 3]}'
-        assert element_from_json(params, json.loads(blob)) == x
+        obj = json.loads(blob)
+        assert normal_form(params, obj["xi"], obj["c"]) == x

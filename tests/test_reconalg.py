@@ -1,5 +1,6 @@
 """Quiver counts by both routes, the Veronese presentation, and Dynkin data."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from starres.lgroup import (
     special_elements,
 )
 from starres.reconalg import (
+    _word_count,
     degree_zero_canonical,
     domestic_classify,
     quiver_combinatorial,
@@ -181,7 +183,6 @@ class TestDegreeZero:
         desc = degree_zero_canonical(P355, X355)
         assert desc.weights == (2, 3, 3)
         assert desc.points == P355.points
-        assert desc.arm_lengths == (1, 2, 2)
 
     def test_degree_one_veronese_keeps_parameters(self):
         params = Parameters([2, 3, 4])
@@ -260,6 +261,23 @@ class TestWahlVerify:
     def test_equal_points_rejected_at_construction(self):
         with pytest.raises(ParameterError):
             Parameters([2, 3, 3], [(1, 0), (0, 1), (2, 0)])
+
+    def test_word_count_matches_enumeration(self):
+        for weights, top in [((2, 3, 3), 10), ((2, 3, 3, 4), 12), ((3, 5, 5), 12), ((7,), 3)]:
+            degrees = (*weights, 1)
+            words = [
+                exps
+                for exps in itertools.product(*(range(top // d + 1) for d in degrees))
+                if 1 <= sum(e * d for e, d in zip(exps, degrees)) <= top
+            ]
+            assert _word_count(degrees, top) == len(words), weights
+        assert _word_count((2, 3, 3, 4, 1), 12) == 260
+        assert _word_count((2, 3, 4, 5, 1), 30) == 5325
+
+    def test_too_many_words_rejected(self):
+        # refused before any ring element is multiplied out
+        with pytest.raises(PreconditionError, match="more than 4000"):
+            wahl_verify(Parameters([2, 3, 4, 5]), 30)
 
 
 class TestWahlIdeals:

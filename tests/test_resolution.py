@@ -1,4 +1,4 @@
-"""Dual graphs, minimality, blow-downs, special modules, and the oracle."""
+"""Dual graphs, special modules, and the oracle."""
 
 import itertools
 import math
@@ -19,19 +19,17 @@ from starres.lgroup import (
     canonical_point,
     degree_hom,
     generator,
+    in_interval_0_c,
     l_add,
     l_scale,
     normal_form,
     reduce_parameters,
     special_elements,
-    zero,
 )
 from starres.resolution import (
     OracleResult,
-    blow_down_chain,
     dual_graph,
     graph_from_json,
-    is_minimal,
     make_star,
     specials,
     speciality_oracle,
@@ -85,7 +83,7 @@ class TestDualGraph:
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
-            dual_graph(P355, zero(P355))
+            dual_graph(P355, normal_form(P355, [0, 0, 0]))
 
     def test_negative_rejected(self):
         params = Parameters([2, 3])
@@ -143,42 +141,11 @@ class TestGraphRecord:
         g = dual_graph(P355, l_scale(2, generator(P355, 0)))
         assert g.flags == ("non-minimal",)
         assert g._replace(flags=()) == make_star(-1, [[-3]], arm_sources=(0,))
-        # blow_down_chain drops "non-minimal" and keeps every other flag
-        chain = make_star(-2, [[-1, -3]])._replace(flags=("non-minimal", "note"))
-        assert blow_down_chain(chain).flags == ("note", "exceptional-free")
-        assert blow_down_chain(g).flags == ()
 
     def test_oracle_result_truth(self):
         # a non-empty tuple, yet falsy when not special
         assert not OracleResult(False, 2) and OracleResult(True)
         assert OracleResult(False, 2) == (False, 2) and len(OracleResult(True)) == 2
-
-
-class TestMinimality:
-    def test_interval_cases(self):
-        assert not is_minimal(P355, l_scale(2, generator(P355, 0)))
-        assert not is_minimal(P355, c_element(P355))
-        assert is_minimal(P355, X355)
-
-
-class TestBlowDown:
-    def test_one_contraction(self):
-        g = make_star(-1, [[-3]])
-        assert blow_down_chain(g).labels == (-2,)
-
-    def test_cascade_to_exceptional_free(self):
-        g = make_star(-2, [[-1, -3]])
-        out = blow_down_chain(g)
-        assert out.labels == (-1,)
-        assert "exceptional-free" in out.flags
-
-    def test_fixed_point(self):
-        g = make_star(-2, [[-3, -2]])
-        assert blow_down_chain(g).labels == (-2, -3, -2)
-
-    def test_star_rejected(self):
-        with pytest.raises(PreconditionError):
-            blow_down_chain(dual_graph(P355, X355))
 
 
 class TestSpecials:
@@ -344,13 +311,13 @@ def _small_inputs(nmax, pmax, amax):
             for arms in itertools.product(*units):
                 for a in range(amax + 1):
                     x = normal_form(params, list(arms), a)
-                    if is_minimal(params, x):
+                    if not in_interval_0_c(x):
                         yield params, x
 
 
 def _module_degree(params, label):
     if label.kind == "free":
-        return zero(params)
+        return normal_form(params, [0] * params.n)
     if label.kind == "c":
         return c_element(params)
     return l_scale(label.u, generator(params, label.arm))
