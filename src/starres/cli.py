@@ -170,11 +170,11 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_wahl(args) -> int:
-    from .reconalg import wahl_generators, wahl_relations, wahl_special_ideals, wahl_verify
+    from .reconalg import _wahl_verify_on, wahl_generators, wahl_relations, wahl_special_ideals
 
     params = _build_params(args)
     pres = wahl_generators(params)
-    report = wahl_verify(params, args.max_degree)
+    report = _wahl_verify_on(params, pres, args.max_degree)
     ideals = wahl_special_ideals(params)
     rels = wahl_relations(params)
     _emit(

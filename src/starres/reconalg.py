@@ -296,8 +296,13 @@ def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
     in the generators must span the whole graded piece, whose dimension is
     sum(floor(N/p_i)) + 1.  A range with no degree in it checks nothing,
     so ``max_degree`` below 1 is refused, and so is a range with more than
-    ``_WAHL_MAX_WORDS`` words, counted before any element is built.
+    ``_WAHL_MAX_WORDS`` words, counted before any word is multiplied out.
     """
+    return _wahl_verify_on(params, wahl_generators(params), max_degree)
+
+
+def _wahl_verify_on(params: Parameters, pres: WahlPresentation, max_degree: int) -> WahlReport:
+    """``wahl_verify`` on the presentation pres of params, already built."""
     if max_degree < 1:
         raise PreconditionError(f"max_degree must be at least 1, got {max_degree}")
     # the u_i have the degrees p_i in some order and v has degree 1, so the
@@ -306,7 +311,6 @@ def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
         raise PreconditionError(
             f"the words of degree <= {max_degree} number more than {_WAHL_MAX_WORDS}"
         )
-    pres = wahl_generators(params)
     n = params.n
     top, bottom = pres.matrix
     minor_failures = []

@@ -1,5 +1,6 @@
 """Dual graphs of the Veronese surfaces, their special modules, and the
-subspace-equation oracle that re-derives speciality from scratch.
+speciality oracle that re-derives speciality on its own, by a walk on the
+arm residues of the degrees involved, O(n) per level.
 
 For a positive non-torsion x with normal form sum(a_i x_i) + a c, the minimal
 resolution has a star-shaped dual graph: center -(a + v) where v counts the
@@ -12,21 +13,12 @@ I(p_j, p_j - a_j), one module per exceptional curve plus the ring itself.
 from __future__ import annotations
 
 from itertools import count
+from math import gcd
 from typing import NamedTuple
 
 from .errors import NotMinimalError, ParameterError, PreconditionError
 from .hj import hj_expand, i_set
-from .lgroup import (
-    LElement,
-    Parameters,
-    _support,
-    coprime_criterion,
-    in_interval_0_c,
-    is_positive,
-    l_add,
-    l_neg,
-    normal_form,
-)
+from .lgroup import LElement, Parameters, _check_same_group, in_interval_0_c, is_positive
 
 POINT = "point"
 CHAIN = "chain"
@@ -184,27 +176,45 @@ class OracleResult(NamedTuple):
 def speciality_oracle(
     params: Parameters, x: LElement, y: LElement, l_max: int | None = None
 ) -> OracleResult:
-    """Decide speciality of the shifted module S(y) by graded subspace equations.
+    """Decide speciality of the shifted module S(y) by a walk on integer residues.
 
-    y is first lowered to the representative of its class mod x at which the
-    module starts (``_levels``), so the verdict depends on the class alone.
+    The walk reads only the arm residues and c coefficients of the degrees
+    involved, as plain ints with carries, and builds no group element: each
+    level costs O(n), and a call O(L0 * n) for the level bound L0 below.
+
+    First y is lowered to y - x while the piece of degree y - x is nonzero.
+    S(y) = S(y - x) is the sum of the pieces of degrees y + k*x, k in Z, and
+    adding x never lowers a c coefficient, so the lowered y starts the
+    module and the levels read all of it.  A y whose own piece is zero too
+    is kept: its level l >= 1 has the pairs of level l - 1 of y + x, and its
+    extra level 0 fails only if that of y + x does (a nonzero piece of
+    degree y + omega makes that of y + x + omega nonzero).  So a class gets
+    one verdict whatever its representative; only the witness moves.
+
     Then for each level l >= 0 checks, inside the graded piece of degree
     y + omega + l*x, that the whole piece equals the sum over m in [1, l] of
     the products of the pieces in degrees omega + m*x and y + (l - m)*x.
     A failing l is returned as the witness; witness 0 means that the piece
-    of degree y + omega is nonzero.  Every level from the bound L0 of
-    ``_levels`` on passes, so the levels below L0 decide speciality and each
-    verdict is a proof.  An optional ``l_max`` caps the levels checked;
-    "special" under a cap below L0 only says that no level up to l_max fails.
+    of degree y + omega is nonzero.  Every level from L0 on passes, so the
+    levels below L0 decide speciality and each verdict is a proof.  An
+    optional ``l_max`` caps the levels checked; "special" under a cap below
+    L0 only says that no level up to l_max fails.
+
+    The left piece omega + m*x is always nonempty: with every a_i nonzero,
+    omega + x has c coefficient n + a - 2 >= 0 for x outside [0, c].  Adding
+    x never lowers a c coefficient, so the right piece is nonempty exactly
+    for l - m >= k0, the least k >= 0 at which y + k*x has c coefficient
+    >= 0; the pairs of level l are m = 1..M, M = l - k0.  Adding two degrees
+    adds their c coefficients plus one per carrying arm.
 
     A level with pairs fills iff no point lies in every support; a level
     without pairs fills iff its piece is zero.  Let d = dim - 1.  Each
     product is f_Q * S_(d - |Q|) for the squarefree binary form f_Q, the
-    product of the linear forms of the points in its support Q
-    (``lgroup._support``): the degree-d forms that vanish on Q, whose
+    product of the linear forms of the points in its support Q, the arms
+    that carry in the pair's sum: the degree-d forms that vanish on Q, whose
     annihilator W_Q is spanned by the evaluations at the points of Q.  The
-    level fills iff the W_Q meet in 0.  Take a level l with pairs
-    m = 1..M, M = l - k0 >= 1 (k0 as in ``_levels``), and supports Q_m:
+    level fills iff the W_Q meet in 0.  Take a level l with pairs and
+    supports Q_m:
     - every pair's degrees add up to the same top degree, so
       d = c(omega + m*x) + c(y + (l - m)*x) + |Q_m| for every m;
     - every a_i >= 1, so all n arms carry in omega + x, whose c coefficient
@@ -216,76 +226,89 @@ def speciality_oracle(
       point;
     - otherwise a = 0 and Q_1 is empty: f_Q_1 * S_d = S_d fills the level,
       and the Q_m have no common point either.
+
+    The supports in residues: the arm of omega + m*x at i is
+    (m*a_i - 1) mod p_i and that of y + (l - m)*x is (y_i + (l - m)*a_i)
+    mod p_i, so their sum is s_i(l) or s_i(l) + p_i, where
+    s_i(l) = (y_i + l*a_i - 1) mod p_i.  Hence i lies in Q_m exactly when
+    (m*a_i - 1) mod p_i > s_i(l), and some point lies in every Q_m iff, for
+    some arm i, the least (m*a_i - 1) mod p_i over m = 1..M exceeds s_i(l).
+    So the levels with pairs are walked arm by arm: arm i steps M = 1, 2, ...
+    with that running minimum and s_i(k0 + M), and stops once the minimum
+    is 0, after which it lies in no common support.  The witness is k0 plus
+    the least M at which some arm fails.  A level without pairs fills iff
+    c(omega + l*x) + c(y) + #carries + 1 <= 0, counting the arms that carry
+    when omega + l*x and y are added.
+
+    L0 is k0 + max(p) (max(p) read as 1 when n = 0, so some pair exists),
+    and every level from L0 on passes: a_i is a unit mod p_i, so the running
+    minimum of arm i is 0 once M reaches the m in [1, p_i] with
+    m*a_i = 1 mod p_i.  Once l >= k0 + max(p) every arm's minimum is 0, no
+    point lies in every support, and the level fills.
     """
     _require_valid(params, x)
     if l_max is not None and l_max < 1:
         raise PreconditionError(f"l_max must be at least 1, got {l_max}")
     if in_interval_0_c(x):
         raise NotMinimalError("the oracle needs x outside [0, c]")
-    if not coprime_criterion(params, x):
+    p, a, xc = params.weights, x.arms, x.c_coeff
+    if any(gcd(pi, ai) != 1 for pi, ai in zip(p, a)):
         raise PreconditionError(
             "oracle requires coprime arm coefficients; reduce parameters first"
         )
-    for l, dim, pairs in _levels(params, x, y, l_max):
-        if pairs:
-            fills = not set.intersection(*(set(_support(a, b)) for a, b in pairs))
-        else:
-            fills = dim == 0
-        if not fills:
+    _check_same_group(y, x)
+    ys, yc = y.arms, y.c_coeff
+    # y - x has arms (y_i - a_i) mod p_i, and one borrow per arm with y_i < a_i
+    while (lower := yc - xc - sum(yi < ai for yi, ai in zip(ys, a))) >= 0:
+        ys, yc = tuple((yi - ai) % pi for yi, ai, pi in zip(ys, a, p)), lower
+    # the levels l <= k0 have no pairs: each fills iff its piece is zero
+    top, top_c = [pi - 1 for pi in p], -2  # omega + l*x; omega = (n - 2)c - sum x_i
+    right, right_c = list(ys), yc  # y + l*x
+    for l in count():
+        if l_max is not None and l > l_max:
+            return OracleResult(True)
+        if top_c + yc + sum(t + yi >= pi for t, yi, pi in zip(top, ys, p)) + 1 > 0:
             return OracleResult(False, l)
-    return OracleResult(True)
+        if right_c >= 0:
+            k0 = l
+            break
+        top_c += xc + _add_arms(top, a, p)
+        right_c += xc + _add_arms(right, a, p)
+    # level k0 + M has the pairs m = 1..M; each arm walks M up to L0 - 1 - k0,
+    # or only below the earliest level an arm before it has failed
+    last = max(p, default=1) - 1
+    if l_max is not None:
+        last = min(last, l_max - k0)
+    first = last + 1
+    for ri, ai, pi in zip(right, a, p):
+        left, low, s = pi - 1, pi, (ri - 1) % pi  # (M*a_i - 1) mod p_i, its minimum, s_i(k0 + M)
+        for m in range(1, first):
+            left += ai
+            if left >= pi:
+                left -= pi
+            s += ai
+            if s >= pi:
+                s -= pi
+            if left < low:
+                low = left
+            if low > s:
+                first = m
+                break
+            if not low:
+                break
+    return OracleResult(True) if first > last else OracleResult(False, k0 + first)
 
 
-def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
-    """Yield (l, dim, pairs) for l in [0, min(L0 - 1, l_max)].
-
-    First y is lowered to y - x while the piece of degree y - x is nonzero.
-    S(y) = S(y - x) is the sum of the pieces of degrees y + k*x, k in Z, and
-    adding x never lowers a c coefficient, so the lowered y starts the
-    module and the levels read all of it.  A y whose own piece is zero too
-    is kept: its level l >= 1 has the pairs of level l - 1 of y + x, and its
-    extra level 0 fails only if that of y + x does (a nonzero piece of
-    degree y + omega makes that of y + x + omega nonzero).  So a class gets
-    one verdict whatever its representative; only the witness moves.
-    Level 0 has no pairs: it passes iff the piece of degree y + omega is 0.
-
-    dim is the dimension of the piece of degree y + omega + l*x, and pairs
-    lists the degrees (omega + m*x, y + (l - m)*x), m in [1, l], whose pieces
-    are both nonempty.  The left piece always is: with every a_i nonzero,
-    omega + x has c coefficient n + a - 2 >= 0 for x outside [0, c].  Adding
-    two degrees adds their c coefficients plus one per carrying arm, so dim
-    needs no further group arithmetic.
-
-    Adding x never lowers a c coefficient, so the right piece is nonempty
-    exactly for l - m >= k0, the least k >= 0 at which y + k*x has c
-    coefficient >= 0.  L0 is k0 + max(p) (max(p) read as 1 when n = 0, so
-    some pair exists), and every level from L0 on passes: point i lies in
-    the support of pair m exactly when the arm of omega + m*x at i, which is
-    m*a_i - 1 mod p_i, and the arm of y + (l - m)*x at i add up to at least
-    p_i.  a_i is a unit mod p_i, so i drops out at the m in [1, p_i] with
-    m*a_i = 1 mod p_i.  Once l >= k0 + max(p) every such m is a pair, no
-    point lies in every support, and the level fills by the common-point
-    rule of ``speciality_oracle``.
-    """
-    minus_x = l_neg(x)
-    while (lower := l_add(y, minus_x)).c_coeff >= 0:
-        y = lower
-    reach = max(params.weights, default=1)
-    lefts = [normal_form(params, [-1] * params.n, params.n - 2)]  # omega = (n - 2)c - sum x_i
-    rights: list[LElement] = []  # rights[k] = y + k*x, added at level k + 1
-    k0 = None
-    for l in count() if l_max is None else range(l_max + 1):
-        if l:
-            lefts.append(l_add(lefts[-1], x))
-            rights.append(l_add(rights[-1], x) if rights else y)
-            if k0 is None and rights[-1].c_coeff >= 0:
-                k0 = l - 1
-        if k0 is not None and l >= k0 + reach:
-            return
-        top = lefts[l]
-        dim = max(top.c_coeff + y.c_coeff + len(_support(top, y)) + 1, 0)
-        pairs = [] if k0 is None else [(lefts[m], rights[l - m]) for m in range(1, l - k0 + 1)]
-        yield l, dim, pairs
+def _add_arms(arms: list[int], a: tuple[int, ...], p: tuple[int, ...]) -> int:
+    """Add the residues a to arms in place, mod p; return the number of carries."""
+    carries = 0
+    for i, ai in enumerate(a):
+        t = arms[i] + ai
+        if t >= p[i]:
+            t -= p[i]
+            carries += 1
+        arms[i] = t
+    return carries
 
 
 def _vertex_names(g: DualGraph) -> list[str]:

@@ -8,6 +8,7 @@ was skipped returns a counterexample: a check over zero cases has failed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
@@ -26,6 +27,7 @@ from .intersection import (
 from .lgroup import (
     LElement,
     Parameters,
+    _support,
     c_element,
     generator,
     l_add,
@@ -36,7 +38,7 @@ from .lgroup import (
 )
 from .linalg import det, rref, solve
 from .reconalg import quiver_combinatorial, quiver_from_intersection
-from .resolution import OracleResult, _levels, _specials_on, dual_graph, speciality_oracle
+from .resolution import OracleResult, _specials_on, dual_graph, speciality_oracle
 
 AMAX = 3  # largest c coefficient random_element draws
 BRUTE_MAX_SIZE = 8  # largest graph the cycle sweep also solves by brute force
@@ -134,6 +136,37 @@ def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:
     for left, right in pairs:
         rows.extend(_product_rows(params, left, right))
     return len(rref(rows)) == dim
+
+
+def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
+    """Yield (l, dim, pairs) for the levels ``speciality_oracle`` reads,
+    l in [0, min(L0 - 1, l_max)], built from group elements.
+
+    y is lowered as the oracle lowers it.  dim is the dimension of the piece
+    of degree y + omega + l*x, and pairs lists the degrees
+    (omega + m*x, y + (l - m)*x), m in [1, l], whose pieces are both
+    nonempty: m = 1..l - k0 once k0 is found.  The oracle's docstring proves
+    that every level from L0 = k0 + max(p) on passes.
+    """
+    minus_x = l_neg(x)
+    while (lower := l_add(y, minus_x)).c_coeff >= 0:
+        y = lower
+    reach = max(params.weights, default=1)
+    lefts = [normal_form(params, [-1] * params.n, params.n - 2)]  # omega = (n - 2)c - sum x_i
+    rights: list[LElement] = []  # rights[k] = y + k*x, added at level k + 1
+    k0 = None
+    for l in itertools.count() if l_max is None else range(l_max + 1):
+        if l:
+            lefts.append(l_add(lefts[-1], x))
+            rights.append(l_add(rights[-1], x) if rights else y)
+            if k0 is None and rights[-1].c_coeff >= 0:
+                k0 = l - 1
+        if k0 is not None and l >= k0 + reach:
+            return
+        top = lefts[l]
+        dim = max(top.c_coeff + y.c_coeff + len(_support(top, y)) + 1, 0)
+        pairs = [] if k0 is None else [(lefts[m], rights[l - m]) for m in range(1, l - k0 + 1)]
+        yield l, dim, pairs
 
 
 def _speciality_by_rank(
@@ -273,10 +306,10 @@ def sweep_speciality(count: int = 3, seed: int = 0):
     """Speciality oracle against the value-set classification, small grid.
 
     Every level below the oracle's bound L0 is decided twice: by the
-    oracle's common-point rule on the product supports, and by stacking the
-    products' shift rows for one ``rref`` (``_speciality_by_rank``).  Both
-    verdicts are proofs, so every module is compared with the
-    classification.
+    oracle's residue walk, and by building the level's degrees as group
+    elements (``_levels``) and stacking the products' shift rows for one
+    ``rref`` (``_speciality_by_rank``).  Both verdicts are proofs, so every
+    module is compared with the classification.
     """
     _require_count(count)
     for where, oracle, by_rank, classified in _speciality_verdicts(count, seed):

@@ -257,6 +257,17 @@ class TestWahl:
         assert payload["minors_zero"] and payload["dims_ok"]
         assert payload["degrees"] == {"v": 1, "u1": 3, "u2": 2, "u3": 3}
 
+    def test_builds_the_presentation_once(self, capsys, monkeypatch):
+        # the printed presentation is the one the checks run on
+        argv = ["wahl", "--p", "2,3,4", "--max-degree", "6"]
+        _, expected, _ = run(capsys, *argv)
+        calls = []
+        real = reconalg.wahl_generators
+        monkeypatch.setattr(reconalg, "wahl_generators", lambda *a: calls.append(a) or real(*a))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected
+        assert len(calls) == 1
+
 
 class TestDomestic:
     def test_exact_output(self, capsys):

@@ -43,6 +43,8 @@ UNREFERENCED = {
     "graph_from_json": "parses the CLI's graph JSON for the planned graph input",
     "degree_zero_canonical": "public form of the quiver command's degree-zero data",
     "piece_product": "named by the benchmark's tracer until the harness changes",
+    "coprime_criterion": "the paper's coprime criterion; the oracle tests the gcds inline",
+    "wahl_verify": "public form of the wahl command's check, which runs on the printed presentation",
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from starres.errors import ParameterError, PreconditionError, StarresError
+from starres.errors import ParameterError, PreconditionError
 from starres.gradedring import RingElement, graded_basis
 from starres.intersection import canonical_cycle, fundamental_cycle, matrix_from_graph, pair
 from starres.lgroup import (

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from starres import linalg, resolution
+from starres import hj, lgroup, linalg, resolution
 from starres.errors import NotMinimalError, PreconditionError
 from starres.gradedring import graded_dim
 from starres.hj import hj_expand, i_set
@@ -35,7 +35,7 @@ from starres.resolution import (
     speciality_oracle,
     to_dot,
 )
-from starres.sweeps import _level_by_rank, _speciality_by_rank, random_element
+from starres.sweeps import _level_by_rank, _levels, _speciality_by_rank, random_element
 
 
 P355 = Parameters([3, 5, 5])
@@ -332,7 +332,7 @@ def _same_class(x, y, z):
 
 def _level_bound(params, x, y):
     """L0: the uncapped oracle checks the levels 0 .. L0 - 1."""
-    return len(list(resolution._levels(params, x, y, None)))
+    return len(list(_levels(params, x, y, None)))
 
 
 def _lowered(params, x, y):
@@ -352,7 +352,7 @@ class TestLevelBound:
             y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-6, 4))
             low = _lowered(params, x, y)
             k0 = next(k for k in itertools.count() if graded_dim(params, l_add(low, l_scale(k, x))))
-            levels = [l for l, _, _ in resolution._levels(params, x, y, None)]
+            levels = [l for l, _, _ in _levels(params, x, y, None)]
             assert levels == list(range(k0 + max(params.weights))), (params, x, y)
 
     def test_levels_from_bound_pass_by_rank(self):
@@ -434,7 +434,7 @@ class TestLevelDecision:
             params = Parameters(params.weights, _random_points(rng, params.n))
             x = normal_form(params, x.arms, x.c_coeff)
             y = normal_form(params, [rng.randrange(p) for p in params.weights], rng.randint(-6, 4))
-            for l, dim, pairs in resolution._levels(params, x, y, None):
+            for l, dim, pairs in _levels(params, x, y, None):
                 if pairs:
                     supports = [set(_support(a, b)) for a, b in pairs]
                     assert dim >= params.n + x.c_coeff - 1 + len(supports[0]), (params, x, y, l)
@@ -475,7 +475,44 @@ def _criterion9_modules(count):
                 yield params, x, l_scale(u, generator(params, j)), u in values
 
 
+def _common_point_rule(params, x, y, l_max):
+    """The oracle's verdict from the group-element levels of ``sweeps._levels``."""
+    for l, dim, pairs in _levels(params, x, y, l_max):
+        if pairs:
+            fills = not set.intersection(*(set(_support(a, b)) for a, b in pairs))
+        else:
+            fills = dim == 0
+        if not fills:
+            return OracleResult(False, l)
+    return OracleResult(True)
+
+
 class TestOracleRoutes:
+    def test_walk_matches_common_point_rule(self):
+        # the residue walk against the common-point rule on the levels built
+        # from group elements: n = 1..5, p <= 9, a = 0 included, shifts u*x_j
+        # and degrees with c in [-6, 4], uncapped or capped at 1..9
+        rng = random.Random(22)
+        outcomes, sizes, a_zero = set(), set(), 0
+        for _ in range(400):
+            params, x = random_element(rng, nmax=5, pmax=9, coprime=True)
+            j = rng.randrange(params.n)
+            ys = [l_scale(u, generator(params, j)) for u in range(params.weights[j] + 1)]
+            ys += [
+                normal_form(params, [rng.randrange(p) for p in params.weights], c)
+                for c in range(-6, 5)
+            ]
+            for y in ys:
+                l_max = rng.choice([None, *range(1, 10)])
+                got = speciality_oracle(params, x, y, l_max)
+                assert got == _common_point_rule(params, x, y, l_max), (params, x, y, l_max)
+                assert type(got) is OracleResult
+                outcomes.add("special" if got.special else f"witness {min(got.witness, 1)}")
+            sizes.add(params.n)
+            a_zero += x.c_coeff == 0
+        assert outcomes == {"special", "witness 0", "witness 1"}  # 1 stands for >= 1
+        assert sizes == {1, 2, 3, 4, 5} and a_zero > 10
+
     def test_random_inputs_match_rank_route(self):
         rng = random.Random(51)
         seen = set()
@@ -512,6 +549,30 @@ class TestOracleRoutes:
         assert {r.special for r in got} == {True, False}
         with pytest.raises(AssertionError, match="rref called"):
             _speciality_by_rank(P355, X355, generator(P355, 1))
+
+    def test_oracle_builds_no_group_element(self, monkeypatch):
+        # l_add, l_neg, normal_form and _support raise wherever a starres
+        # module binds them: the walk reaches none of them, and the
+        # criterion-9 verdicts are unchanged; resolution does not bind the
+        # i-series residue criterion, so the oracle stays a second route to it
+        modules = list(_criterion9_modules(12))
+        expected = [speciality_oracle(params, x, y) for params, x, y, _ in modules]
+        for attr in ("l_add", "l_neg", "normal_form", "_support"):
+            real = getattr(lgroup, attr)
+
+            def refused(*args, attr=attr):
+                raise AssertionError(f"{attr} called")
+
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] == "starres" and getattr(module, attr, None) is real:
+                    monkeypatch.setattr(module, attr, refused)
+        got = [speciality_oracle(params, x, y) for params, x, y, _ in modules]
+        assert got == expected
+        assert [r.special for r in got] == [classified for *_, classified in modules]
+        assert {r.special for r in got} == {True, False}
+        with pytest.raises(AssertionError, match="l_neg called"):
+            _speciality_by_rank(P355, X355, generator(P355, 1))
+        assert all(value is not hj.residue_criterion for value in vars(resolution).values())
 
 
 class TestDot:
