@@ -240,11 +240,12 @@ def speciality_oracle(
     c(omega + l*x) + c(y) + #carries + 1 <= 0, counting the arms that carry
     when omega + l*x and y are added.
 
-    L0 is k0 + max(p) (max(p) read as 1 when n = 0, so some pair exists),
-    and every level from L0 on passes: a_i is a unit mod p_i, so the running
-    minimum of arm i is 0 once M reaches the m in [1, p_i] with
-    m*a_i = 1 mod p_i.  Once l >= k0 + max(p) every arm's minimum is 0, no
-    point lies in every support, and the level fills.
+    L0 is k0 + max(p) - 1, and every level from L0 on passes: a_i is a unit
+    mod p_i, so the running minimum of arm i is 0 once M reaches
+    a_i^-1 mod p_i <= p_i - 1.  Once l >= k0 + max(p) - 1 every arm's minimum
+    is 0, no point lies in every support, and the level fills.  When n = 0,
+    max(p) is read as 2: the level k0 has no pairs and can fail, while k0 + 1
+    has pairs and no point at all.
     """
     _require_valid(params, x)
     if l_max is not None and l_max < 1:
@@ -276,7 +277,7 @@ def speciality_oracle(
         right_c += xc + _add_arms(right, a, p)
     # level k0 + M has the pairs m = 1..M; each arm walks M up to L0 - 1 - k0,
     # or only below the earliest level an arm before it has failed
-    last = max(p, default=1) - 1
+    last = max(p, default=2) - 2
     if l_max is not None:
         last = min(last, l_max - k0)
     first = last + 1

@@ -1,15 +1,17 @@
 """Seeded cross-check sweeps pairing every classification with its oracle.
 
-Each sweep returns None on success or a JSON-serializable counterexample
-dict; the CLI turns the first counterexample into a nonzero exit.  A sweep
-asked to check nothing raises PreconditionError, and one whose every draw
-was skipped returns a counterexample: a check over zero cases has failed.
+``CHECKS`` maps each sweep's name to (draw, check): ``draw(rng)`` returns one
+input (params, x) with x outside [0, c], and ``check(params, x)`` returns None
+or a JSON-serializable counterexample naming its ``"check"``.  ``sweep`` runs
+one entry on ``count`` seeded draws; ``sweep_iseries`` is the one grid check.
+A sweep asked to check nothing raises PreconditionError.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 from math import gcd
 
 from .errors import PreconditionError
@@ -67,6 +69,14 @@ def random_element(rng: random.Random, nmax=4, pmax=6, coprime=False, min_v=0):
         return params, x
 
 
+def _non_coprime(rng: random.Random):
+    """A ``random_element`` draw with some nonzero arm not coprime to its weight."""
+    while True:
+        params, x = random_element(rng)
+        if any(gcd(p, a) != 1 for p, a in zip(params.weights, x.arms) if a):
+            return params, x
+
+
 def _require_count(count: int) -> None:
     if count < 1:
         raise PreconditionError(f"count must be at least 1, got {count}")
@@ -97,27 +107,20 @@ def sweep_iseries(rmax: int = 40):
     return None
 
 
-def sweep_center_label(count: int = 100, seed: int = 0):
+def _center_label(params: Parameters, x: LElement):
     """Center label equals -(a + v), with a re-derived as a graded dimension."""
-    _require_count(count)
-    rng = random.Random(seed)
-    for _ in range(count):
-        params, x = random_element(rng, coprime=True)
-        g = dual_graph(params, x)
-        v = len(g.arms)
-        a = x.c_coeff
-        shifted = l_add(x, l_neg(c_element(params)))
-        a_indep = len(graded_basis(params, shifted).basis)
-        expected = -(a + v)
-        if g.labels[g.center] != expected or a_indep != a:
-            return {
-                "check": "center-label",
-                "p": list(params.weights),
-                "x": x.to_json(),
-                "label": g.labels[g.center],
-                "expected": expected,
-                "a_from_dimension": a_indep,
-            }
+    g = dual_graph(params, x)
+    a = x.c_coeff
+    shifted = l_add(x, l_neg(c_element(params)))
+    a_indep = len(graded_basis(params, shifted).basis)
+    expected = -(a + len(g.arms))
+    if g.labels[g.center] != expected or a_indep != a:
+        return {
+            "check": "center-label",
+            "label": g.labels[g.center],
+            "expected": expected,
+            "a_from_dimension": a_indep,
+        }
     return None
 
 
@@ -146,12 +149,12 @@ def _levels(params: Parameters, x: LElement, y: LElement, l_max: int | None):
     of degree y + omega + l*x, and pairs lists the degrees
     (omega + m*x, y + (l - m)*x), m in [1, l], whose pieces are both
     nonempty: m = 1..l - k0 once k0 is found.  The oracle's docstring proves
-    that every level from L0 = k0 + max(p) on passes.
+    that every level from L0 = k0 + max(p) - 1 on passes.
     """
     minus_x = l_neg(x)
     while (lower := l_add(y, minus_x)).c_coeff >= 0:
         y = lower
-    reach = max(params.weights, default=1)
+    reach = max(params.weights, default=2) - 1
     lefts = [normal_form(params, [-1] * params.n, params.n - 2)]  # omega = (n - 2)c - sum x_i
     rights: list[LElement] = []  # rights[k] = y + k*x, added at level k + 1
     k0 = None
@@ -183,166 +186,127 @@ def _speciality_by_rank(
     return OracleResult(True)
 
 
-def sweep_cycles(count: int = 100, seed: int = 0):
+def _cycles(params: Parameters, x: LElement):
     """Fundamental cycle: reduced, Laufer = brute force, canonical system exact.
 
     Definiteness and the canonical cycle are computed twice, by the integer
     leaf-to-root pass and by the dense route (leading minors, a dense solve).
+    Every draw lies outside [0, c], so a non-minimal graph is a broken draw.
     """
-    _require_count(count)
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(count):
-        params, x = random_element(rng)
-        g = dual_graph(params, x)
-        if "non-minimal" in g.flags:
-            continue
-        checked += 1
-        where = {"p": list(params.weights), "x": x.to_json()}
-        m = matrix_from_graph(g)
-        definite = is_negative_definite(m)
-        if definite != _minors_negative_definite(m):
-            return {"check": "tree-vs-dense", "quantity": "negative-definite", **where, "tree": definite}
-        if not definite:
-            return {"check": "negative-definite", **where}
-        zf = fundamental_cycle(m)
-        if not is_reduced(zf):
-            return {"check": "reduced", **where, "zf": list(zf)}
-        if m.size <= BRUTE_MAX_SIZE and zf != fundamental_cycle_brute(m):
-            return {"check": "laufer-vs-brute", **where}
-        zk = canonical_cycle(m)
-        dense = solve(m.entries, [m.entries[i][i] + 2 for i in range(m.size)])
-        if zk != dense:
-            return {
-                "check": "tree-vs-dense",
-                "quantity": "canonical-cycle",
-                **where,
-                "tree": [str(z) for z in zk],
-                "dense": [str(z) for z in dense],
-            }
-        for i in range(m.size):
-            ei = tuple(1 if j == i else 0 for j in range(m.size))
-            if pair(m, zk, ei) != m.entries[i][i] + 2:
-                return {"check": "canonical-cycle", **where}
-    if not checked:
-        return {"check": "cycles-none-checked", "count": count, "seed": seed}
+    g = dual_graph(params, x)
+    if "non-minimal" in g.flags:
+        return {"check": "non-minimal"}
+    m = matrix_from_graph(g)
+    definite = is_negative_definite(m)
+    if definite != _minors_negative_definite(m):
+        return {"check": "tree-vs-dense", "quantity": "negative-definite", "tree": definite}
+    if not definite:
+        return {"check": "negative-definite"}
+    zf = fundamental_cycle(m)
+    if not is_reduced(zf):
+        return {"check": "reduced", "zf": list(zf)}
+    if m.size <= BRUTE_MAX_SIZE and zf != fundamental_cycle_brute(m):
+        return {"check": "laufer-vs-brute"}
+    zk = canonical_cycle(m)
+    dense = solve(m.entries, [m.entries[i][i] + 2 for i in range(m.size)])
+    if zk != dense:
+        return {
+            "check": "tree-vs-dense",
+            "quantity": "canonical-cycle",
+            "tree": [str(z) for z in zk],
+            "dense": [str(z) for z in dense],
+        }
+    for i in range(m.size):
+        ei = tuple(1 if j == i else 0 for j in range(m.size))
+        if pair(m, zk, ei) != m.entries[i][i] + 2:
+            return {"check": "canonical-cycle"}
     return None
 
 
-def sweep_quiver(count: int = 50, seed: int = 0):
-    """Cross-construction equality of the two quiver routes.
-
-    Weights are drawn up to 200, so dual graphs reach hundreds of vertices.
-    """
-    _require_count(count)
-    rng = random.Random(seed)
-    for _ in range(count):
-        params, x = random_element(rng, min_v=2, pmax=200)
-        combin = quiver_combinatorial(params, x)
-        g = dual_graph(params, x)
-        inter = quiver_from_intersection(g, _specials_on(params, x, g))
-        if combin != inter:
-            return {
-                "check": "quiver-cross-construction",
-                "p": list(params.weights),
-                "x": x.to_json(),
-                "combinatorial": combin.to_json(),
-                "intersection": inter.to_json(),
-            }
+def _quiver(params: Parameters, x: LElement):
+    """Cross-construction equality of the two quiver routes."""
+    combin = quiver_combinatorial(params, x)
+    g = dual_graph(params, x)
+    inter = quiver_from_intersection(g, _specials_on(params, x, g))
+    if combin != inter:
+        return {
+            "check": "quiver-cross-construction",
+            "combinatorial": combin.to_json(),
+            "intersection": inter.to_json(),
+        }
     return None
 
 
-def sweep_reduce(count: int = 20, seed: int = 0):
+def _reduction(params: Parameters, x: LElement):
     """Graded dimensions agree before and after parameter reduction."""
-    _require_count(count)
-    rng = random.Random(seed)
-    found = 0
-    while found < count:
-        params, x = random_element(rng)
-        if all(gcd(p, a) == 1 for p, a in zip(params.weights, x.arms) if a):
-            continue
-        found += 1
-        rparams, rx = reduce_parameters(params, x)
-        for k in range(REDUCE_DEGREES + 1):
-            before = graded_dim(params, l_scale(k, x))
-            after = graded_dim(rparams, l_scale(k, rx))
-            if before != after:
-                return {
-                    "check": "parameter-reduction",
-                    "p": list(params.weights),
-                    "x": x.to_json(),
-                    "degree": k,
-                    "before": before,
-                    "after": after,
-                }
+    rparams, rx = reduce_parameters(params, x)
+    for k in range(REDUCE_DEGREES + 1):
+        before = graded_dim(params, l_scale(k, x))
+        after = graded_dim(rparams, l_scale(k, rx))
+        if before != after:
+            return {"check": "parameter-reduction", "degree": k, "before": before, "after": after}
     return None
 
 
-def _speciality_verdicts(count: int, seed: int):
-    """Yield (where, oracle, by_rank, classified) for every shifted module
-    S(u*x_j), 0 <= u <= p_j, of ``count`` seeded inputs.
-
-    ``oracle`` is ``speciality_oracle``'s answer, ``by_rank`` the same levels
-    decided by rank alone, and ``classified`` whether u lies in the value set
-    I(p_j, p_j - a_j).
-    """
-    rng = random.Random(seed)
-    for _ in range(count):
-        params, x = random_element(rng, nmax=3, pmax=5, coprime=True)
-        for j, p in enumerate(params.weights):
-            values = i_set(p, p - x.arms[j])
-            for u in range(p + 1):
-                y = l_scale(u, generator(params, j))
-                where = {"p": list(params.weights), "x": x.to_json(), "arm": j, "u": u}
-                yield (
-                    where,
-                    speciality_oracle(params, x, y),
-                    _speciality_by_rank(params, x, y),
-                    u in values,
-                )
-
-
-def sweep_speciality(count: int = 3, seed: int = 0):
-    """Speciality oracle against the value-set classification, small grid.
+def _speciality(params: Parameters, x: LElement):
+    """Speciality oracle against the value-set classification on every
+    shifted module S(u*x_j), 0 <= u <= p_j.
 
     Every level below the oracle's bound L0 is decided twice: by the
-    oracle's residue walk, and by building the level's degrees as group
-    elements (``_levels``) and stacking the products' shift rows for one
-    ``rref`` (``_speciality_by_rank``).  Both verdicts are proofs, so every
-    module is compared with the classification.
+    oracle's residue walk and by ``_speciality_by_rank`` (the levels built
+    as group elements, their products' shift rows stacked for one ``rref``).
+    Both are proofs, so each verdict is also compared with u in I(p_j, p_j - a_j).
+    """
+    for j, p in enumerate(params.weights):
+        values = i_set(p, p - x.arms[j])
+        for u in range(p + 1):
+            y = l_scale(u, generator(params, j))
+            oracle = speciality_oracle(params, x, y)
+            by_rank = _speciality_by_rank(params, x, y)
+            verdict = {"arm": j, "u": u, "oracle": oracle.special, "witness": oracle.witness}
+            if oracle != by_rank:
+                return {
+                    "check": "certificate-vs-rank",
+                    **verdict,
+                    "rank": by_rank.special,
+                    "rank_witness": by_rank.witness,
+                }
+            if oracle.special != (u in values):
+                return {"check": "speciality-oracle", **verdict, "classification": u in values}
+    return None
+
+
+# name -> (draw, check), in the order run_all runs them.  The quiver draw
+# takes weights up to 200, so dual graphs reach hundreds of vertices.
+CHECKS = {
+    "center-label": (partial(random_element, coprime=True), _center_label),
+    "cycles": (random_element, _cycles),
+    "quiver": (partial(random_element, min_v=2, pmax=200), _quiver),
+    "parameter-reduction": (_non_coprime, _reduction),
+    "speciality-oracle": (partial(random_element, nmax=3, pmax=5, coprime=True), _speciality),
+}
+
+
+def sweep(name: str, count: int, seed: int = 0):
+    """Run the check ``name`` of ``CHECKS`` on ``count`` seeded draws.
+
+    Returns the first counterexample, with the input's "p" and "x", or None.
     """
     _require_count(count)
-    for where, oracle, by_rank, classified in _speciality_verdicts(count, seed):
-        if oracle != by_rank:
-            return {
-                "check": "certificate-vs-rank",
-                **where,
-                "oracle": oracle.special,
-                "witness": oracle.witness,
-                "rank": by_rank.special,
-                "rank_witness": by_rank.witness,
-            }
-        if oracle.special != classified:
-            return {
-                "check": "speciality-oracle",
-                **where,
-                "oracle": oracle.special,
-                "witness": oracle.witness,
-                "classification": classified,
-            }
+    draw, check = CHECKS[name]
+    rng = random.Random(seed)
+    for _ in range(count):
+        params, x = draw(rng)
+        found = check(params, x)
+        if found is not None:
+            return {"p": list(params.weights), "x": x.to_json(), **found}
     return None
 
 
 def run_all(seed: int = 0, rmax: int = 40, count: int = 50, log=None):
     """Run every sweep; returns the first counterexample or None."""
-    checks = [
-        ("iseries-triangle", lambda: sweep_iseries(rmax)),
-        ("center-label", lambda: sweep_center_label(count, seed)),
-        ("cycles", lambda: sweep_cycles(count, seed)),
-        ("quiver", lambda: sweep_quiver(count, seed)),
-        ("parameter-reduction", lambda: sweep_reduce(min(count, 20), seed)),
-        ("speciality-oracle", lambda: sweep_speciality(3, seed)),
-    ]
+    checks = [("iseries-triangle", partial(sweep_iseries, rmax))]
+    checks += [(name, partial(sweep, name, count, seed)) for name in CHECKS]
     for name, check in checks:
         result = check()
         if log is not None:

@@ -355,6 +355,18 @@ class TestSweep:
         assert code == 0
         assert "quiver: ok" in out
 
+    def test_default_run_logs_every_check_in_order(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--seed", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "iseries-triangle: ok",
+            "center-label: ok",
+            "cycles: ok",
+            "quiver: ok",
+            "parameter-reduction: ok",
+            "speciality-oracle: ok",
+        ]
+
     def test_counterexample_exits_one(self, capsys, monkeypatch):
         import starres.sweeps
 

@@ -267,7 +267,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("c, bound", [(0, 1), (-2, 2)])
     def test_no_weights(self, c, bound):
-        # n = 0: max(p) is read as 1, so L0 = k0 + 1
+        # n = 0: max(p) is read as 2, so L0 = k0 + 1
         params = Parameters([])
         x, y = LElement((), (), 3), LElement((), (), c)
         assert speciality_oracle(params, x, y) == OracleResult(True)
@@ -344,7 +344,7 @@ def _lowered(params, x, y):
 
 class TestLevelBound:
     def test_levels_stop_at_bound(self):
-        # the levels read are exactly 0 .. k0 + max(p) - 1, k0 the least k >= 0
+        # the levels read are exactly 0 .. k0 + max(p) - 2, k0 the least k >= 0
         # at which the lowered y plus k*x has a nonzero piece
         rng = random.Random(19)
         for _ in range(60):
@@ -353,7 +353,7 @@ class TestLevelBound:
             low = _lowered(params, x, y)
             k0 = next(k for k in itertools.count() if graded_dim(params, l_add(low, l_scale(k, x))))
             levels = [l for l, _, _ in _levels(params, x, y, None)]
-            assert levels == list(range(k0 + max(params.weights))), (params, x, y)
+            assert levels == list(range(k0 + max(params.weights) - 1)), (params, x, y)
 
     def test_levels_from_bound_pass_by_rank(self):
         # the tail argument computed twice: each level past L0 is rebuilt from
