@@ -10,7 +10,19 @@ from starres.lgroup import Parameters, in_interval_0_c, normal_form
 from starres.resolution import OracleResult
 
 
-@pytest.mark.parametrize("name", list(sweeps.CHECKS))
+# test ids: "sweep_" and a short name for each check
+EMPTY_COUNT_IDS = {
+    "center-label": "sweep_center_label",
+    "cycles": "sweep_cycles",
+    "quiver": "sweep_quiver",
+    "parameter-reduction": "sweep_reduce",
+    "speciality-oracle": "sweep_speciality",
+}
+
+
+@pytest.mark.parametrize(
+    "name", list(sweeps.CHECKS), ids=[EMPTY_COUNT_IDS.get(n, n) for n in sweeps.CHECKS]
+)
 def test_empty_count_raises(name):
     with pytest.raises(PreconditionError):
         sweeps.sweep(name, 0)
@@ -22,7 +34,8 @@ def test_iseries_empty_range_raises():
     assert sweeps.sweep_iseries(2) is None
 
 
-def test_cycles_non_minimal_draw_is_a_counterexample(monkeypatch):
+def test_cycles_all_skipped_is_a_counterexample(monkeypatch):
+    # every draw non-minimal: the first one is reported, the sweep does not pass
     params = Parameters([2, 3])
     x = normal_form(params, [0, 0], 1)  # c itself: lies in [0, c], non-minimal
     check = sweeps.CHECKS["cycles"][1]
