@@ -56,7 +56,6 @@ _EXPORTS = {
         "GradedPiece",
         "Monomial",
         "RingElement",
-        "Subspace",
         "graded_basis",
         "graded_dim",
         "multiply",

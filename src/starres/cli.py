@@ -141,8 +141,8 @@ def _cmd_specials(args) -> int:
 
 def _cmd_quiver(args) -> int:
     from .reconalg import (
-        _degree_zero_canonical_on,
         _quiver_combinatorial_on,
+        degree_zero_canonical,
         quiver_from_intersection,
         quiver_to_dot,
     )
@@ -160,7 +160,7 @@ def _cmd_quiver(args) -> int:
     if args.format == "dot":
         print(quiver_to_dot(quiver))
         return 0
-    dz = _degree_zero_canonical_on(params, g)
+    dz = degree_zero_canonical(params, g)
     report = quiver.to_json()
     report["degree_zero"] = {"q": list(dz.weights), "mu": [list(pt) for pt in dz.points]}
     if degenerate:
@@ -170,13 +170,12 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_wahl(args) -> int:
-    from .reconalg import _wahl_verify_on, wahl_generators, wahl_relations, wahl_special_ideals
+    from .reconalg import wahl_relations, wahl_special_ideals, wahl_verify
 
-    params = _build_params(args)
-    pres = wahl_generators(params)
-    report = _wahl_verify_on(params, pres, args.max_degree)
-    ideals = wahl_special_ideals(params)
-    rels = wahl_relations(params)
+    report = wahl_verify(_build_params(args), args.max_degree)
+    pres = report.presentation
+    ideals = wahl_special_ideals(pres)
+    rels = wahl_relations(pres)
     _emit(
         {
             "generators": {f"u{i + 1}": str(g) for i, g in enumerate(pres.gens)}

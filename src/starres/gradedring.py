@@ -14,7 +14,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import ParameterError, PreconditionError
-from .lgroup import LElement, Parameters, _support, l_add
+from .lgroup import LElement, Parameters, _support
 
 TermKey = tuple[int, int, tuple[int, ...]]
 
@@ -201,36 +201,28 @@ def graded_basis(params: Parameters, y: LElement) -> GradedPiece:
     return GradedPiece(params, y, basis)
 
 
-class Subspace(NamedTuple):
-    """A subspace of a graded piece, stored as a reduced row echelon matrix."""
+def span(piece: GradedPiece, elements) -> tuple[tuple[Fraction, ...], ...]:
+    """Reduced row echelon rows of the elements' coordinates in the piece's basis.
 
-    piece: GradedPiece
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def coords(piece: GradedPiece, elem: RingElement) -> tuple[Fraction, ...]:
-    """Coordinates of a homogeneous element in the canonical basis of its piece."""
-    vec = [Fraction(0)] * piece.dim
-    a = piece.degree.c_coeff
-    for (e0, e1, arms), coef in elem.terms.items():
-        if arms != piece.degree.arms or e0 + e1 != a:
-            raise PreconditionError("element does not lie in the given graded piece")
-        vec[e0] = coef
-    return tuple(vec)
-
-
-def span(piece: GradedPiece, elements) -> Subspace:
+    The coordinate of a monomial is its t0 exponent; the number of rows is
+    the dimension of the span.  An element with a term outside the piece is
+    refused.
+    """
     from .linalg import rref
 
-    rows = rref([coords(piece, e) for e in elements])
-    return Subspace(piece, rows)
+    a = piece.degree.c_coeff
+    rows = []
+    for elem in elements:
+        vec = [Fraction(0)] * piece.dim
+        for (e0, e1, arms), coef in elem.terms.items():
+            if arms != piece.degree.arms or e0 + e1 != a:
+                raise PreconditionError("element does not lie in the given graded piece")
+            vec[e0] = coef
+        rows.append(vec)
+    return rref(rows)
 
 
-def _product_rows(params: Parameters, y: LElement, z: LElement) -> list[list[int]]:
+def piece_product(params: Parameters, y: LElement, z: LElement) -> list[list[int]]:
     """Integer coordinate rows spanning the product of the pieces of degrees y and z.
 
     Every pairwise basis product is a t-shift of the single reduced product
@@ -239,7 +231,9 @@ def _product_rows(params: Parameters, y: LElement, z: LElement) -> list[list[int
     linearly independent and span the product inside the piece of degree
     y + z.  The form is built as the integer product of w_i*t0 - u_i*t1 over
     the points (u_i:w_i), a nonzero multiple of f; coordinates are indexed
-    by the t0 exponent and each shift is a row.
+    by the t0 exponent and each shift is a row.  The speciality oracle needs
+    no product: it reads each one from its support alone, and only the
+    sweep's rank route (``sweeps._level_by_rank``) stacks the rows.
     """
     a, b = y.c_coeff, z.c_coeff
     if a < 0 or b < 0:
@@ -250,16 +244,3 @@ def _product_rows(params: Parameters, y: LElement, z: LElement) -> list[list[int
         form = [w * raised - u * c for raised, c in zip([0, *form], [*form, 0])]
     shifts = a + b
     return [[0] * sigma + form + [0] * (shifts - sigma) for sigma in range(shifts + 1)]
-
-
-def piece_product(params: Parameters, y: LElement, z: LElement) -> Subspace:
-    """Span of all pairwise basis products of two pieces inside their sum.
-
-    The spanning rows are the t-shifts of one integer binary form
-    (``_product_rows``), reduced exactly by ``rref``.  The speciality
-    oracle needs no span: it reads each product from its support alone, and
-    only the sweep's rank route (``sweeps._level_by_rank``) stacks the rows.
-    """
-    from .linalg import rref
-
-    return Subspace(graded_basis(params, l_add(y, z)), rref(_product_rows(params, y, z)))

@@ -46,6 +46,22 @@ class QuiverData(NamedTuple):
         }
 
 
+# The most dual-graph vertices either quiver route takes.  Both fill two
+# (V + 1)^2 count matrices, and the intersection route first builds the dense
+# V x V matrix, so memory and the printed JSON grow like V^2.  At the limit,
+# ``starres quiver --p 3998,3 --x 1,1`` peaks at 692 MiB resident and prints
+# 96 MB in 4.1 s (Python 3.11, 2 vCPUs); at about 10,000 vertices it ran out
+# of memory under a 2.5 GB address-space limit.
+_QUIVER_MAX_VERTICES = 4000
+
+
+def _require_quiver_size(g: DualGraph) -> None:
+    if g.size > _QUIVER_MAX_VERTICES:
+        raise PreconditionError(
+            f"the graph has {g.size} vertices; quivers are limited to {_QUIVER_MAX_VERTICES}"
+        )
+
+
 def _names_from_labels(g: DualGraph, labels) -> tuple[str, ...]:
     names = [f"E{i}" for i in range(g.size)]
     if labels is not None:
@@ -62,8 +78,9 @@ def quiver_from_intersection(g: DualGraph, labels=None) -> QuiverData:
     matrix that is not negative definite) and Z_f . E_i is summed over the
     integer rows of the matrix.  Adjunction fixes Z_K . E_i = E_i^2 + 2, so
     the counts at the extending vertex need no canonical cycle and every
-    count is an integer.
+    count is an integer.  A graph above ``_QUIVER_MAX_VERTICES`` is refused.
     """
+    _require_quiver_size(g)
     if any(l >= -1 for l in g.labels):
         raise NotMinimalError("quiver counts need all self-intersections <= -2")
     m = matrix_from_graph(g)
@@ -104,6 +121,7 @@ def quiver_combinatorial(params: Parameters, x: LElement) -> QuiverData:
 
 def _quiver_combinatorial_on(params: Parameters, x: LElement, g: DualGraph) -> QuiverData:
     """``quiver_combinatorial`` on the dual graph g of x, already built and checked."""
+    _require_quiver_size(g)
     v = len(g.arms)
     if v <= 1:
         raise PreconditionError("combinatorial quiver needs at least two arms")
@@ -165,17 +183,12 @@ def _point_str(point: tuple[int, int]) -> str:
     return f"({u}:{w})"
 
 
-def degree_zero_canonical(params: Parameters, x: LElement) -> CanonicalAlgebraDesc:
+def degree_zero_canonical(params: Parameters, g: DualGraph) -> CanonicalAlgebraDesc:
     """Weights and points of the degree-zero piece of the quiver algebra.
 
-    Arm i with a_i != 0 contributes weight m_i + 1 (the arm length plus one)
-    and keeps its marked point.
+    Read off the dual graph g of x: arm i with a_i != 0 contributes weight
+    m_i + 1 (the arm length plus one) and keeps its marked point.
     """
-    return _degree_zero_canonical_on(params, dual_graph(params, x))
-
-
-def _degree_zero_canonical_on(params: Parameters, g: DualGraph) -> CanonicalAlgebraDesc:
-    """``degree_zero_canonical`` on a dual graph g, already built and checked."""
     if "non-minimal" in g.flags:
         raise NotMinimalError("degree-zero description needs x outside [0, c]")
     weights = tuple(len(arm) + 1 for arm in g.arms)
@@ -198,13 +211,6 @@ class WahlPresentation(NamedTuple):
     matrix_symbolic: tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def _require_wahl_params(params: Parameters) -> None:
-    if params.n < 3:
-        raise PreconditionError("the presentation needs at least three weights")
-    if not params.is_normalized:
-        raise ParameterError("points must be normalized to (1:0), (0:1), ...")
-
-
 def wahl_generators(params: Parameters) -> WahlPresentation:
     """The n+1 generators u_1..u_n, v of the Veronese along sum(x_i).
 
@@ -212,7 +218,10 @@ def wahl_generators(params: Parameters) -> WahlPresentation:
     sign), and the ring is presented by the 2x2 minors of a 2 x n matrix in
     them.
     """
-    _require_wahl_params(params)
+    if params.n < 3:
+        raise PreconditionError("the presentation needs at least three weights")
+    if not params.is_normalized:
+        raise ParameterError("points must be normalized to (1:0), (0:1), ...")
     p = params.weights
     n = params.n
 
@@ -286,6 +295,7 @@ class WahlReport(NamedTuple):
     ok: bool
     minor_failures: tuple[tuple[int, int], ...]
     dim_failures: tuple[tuple[int, int, int], ...]
+    presentation: WahlPresentation
 
 
 def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
@@ -297,12 +307,9 @@ def wahl_verify(params: Parameters, max_degree: int = 12) -> WahlReport:
     sum(floor(N/p_i)) + 1.  A range with no degree in it checks nothing,
     so ``max_degree`` below 1 is refused, and so is a range with more than
     ``_WAHL_MAX_WORDS`` words, counted before any word is multiplied out.
+    The report carries the presentation it checked.
     """
-    return _wahl_verify_on(params, wahl_generators(params), max_degree)
-
-
-def _wahl_verify_on(params: Parameters, pres: WahlPresentation, max_degree: int) -> WahlReport:
-    """``wahl_verify`` on the presentation pres of params, already built."""
+    pres = wahl_generators(params)
     if max_degree < 1:
         raise PreconditionError(f"max_degree must be at least 1, got {max_degree}")
     # the u_i have the degrees p_i in some order and v has degree 1, so the
@@ -354,7 +361,7 @@ def _wahl_verify_on(params: Parameters, pres: WahlPresentation, max_degree: int)
             elements.append(elem)
         degree = normal_form(params, [target] * n, 0)
         piece = graded_basis(params, degree)
-        got = span(piece, elements).dim
+        got = len(span(piece, elements))
         expected = sum(target // p for p in params.weights) + 1
         if got != expected or expected != graded_dim(params, degree):
             dim_failures.append((target, got, expected))
@@ -362,16 +369,18 @@ def _wahl_verify_on(params: Parameters, pres: WahlPresentation, max_degree: int)
         ok=not minor_failures and not dim_failures,
         minor_failures=tuple(minor_failures),
         dim_failures=tuple(dim_failures),
+        presentation=pres,
     )
 
 
-def wahl_special_ideals(params: Parameters) -> tuple[tuple[ModuleLabel, str], ...]:
-    """Two-generated ideals realizing the special modules of the s-Veronese.
+def wahl_special_ideals(pres: WahlPresentation) -> tuple[tuple[ModuleLabel, str], ...]:
+    """Two-generated ideals, in the generators of pres, realizing the special
+    modules of the s-Veronese.
 
     Arm positions are counted outward from the center, matching the vertex
     assignment of ``specials``.
     """
-    _require_wahl_params(params)
+    params = pres.params
     p = params.weights
 
     def vpow(k: int) -> str:
@@ -409,15 +418,15 @@ class WahlRelations(NamedTuple):
     relations: tuple[str, ...]
 
 
-def wahl_relations(params: Parameters) -> WahlRelations:
-    """The doubled star quiver of the s-Veronese with labelled arrows.
+def wahl_relations(pres: WahlPresentation) -> WahlRelations:
+    """The doubled star quiver of the s-Veronese of pres with labelled arrows.
 
     Black arrows (degree zero) carry the canonical-algebra maps, red arrows
     (degree one) the reverse maps.  Relations: the canonical relations on
     black paths, plus at every vertex the equality of all 2-cycles through
     it.
     """
-    _require_wahl_params(params)
+    params = pres.params
     p = params.weights
     n = params.n
 

@@ -15,7 +15,7 @@ from functools import partial
 from math import gcd
 
 from .errors import PreconditionError
-from .gradedring import _product_rows, graded_basis, graded_dim
+from .gradedring import graded_basis, graded_dim, piece_product
 from .hj import i_set, ito_oracle, residue_criterion
 from .intersection import (
     canonical_cycle,
@@ -133,11 +133,11 @@ def _minors_negative_definite(m) -> bool:
 
 def _level_by_rank(params: Parameters, pairs, dim: int) -> bool:
     """Whether the products of the pieces in pairs fill their piece of
-    dimension dim: their integer shift rows stacked, with one ``rref`` call.
+    dimension dim: their ``piece_product`` rows stacked, with one ``rref`` call.
     """
     rows = []
     for left, right in pairs:
-        rows.extend(_product_rows(params, left, right))
+        rows.extend(piece_product(params, left, right))
     return len(rref(rows)) == dim
 
 

@@ -296,6 +296,17 @@ class TestErrors:
             "message": f"the words of degree <= {max_degree} number more than 4000",
         }
 
+    def test_quiver_above_the_vertex_limit_exits_one_at_once(self, capsys):
+        # a 10,003-vertex graph: both routes fill (V + 1)^2 matrices, so it is refused
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "quiver", "--p", "10001,3", "--x", "1,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert json.loads(out) == {
+            "code": "precondition",
+            "message": "the graph has 10003 vertices; quivers are limited to 4000",
+        }
+
     def test_invalid_points_exit_one(self, capsys):
         code, out, _ = run(capsys, "graph", "--p", "2,3", "--lambda", "1:0,2:0", "--x", "1,1")
         assert code == 1

@@ -19,7 +19,7 @@ PUBLIC = {
         "HJExpansion ISeries hj_eval hj_expand i_series i_set ito_oracle residue_criterion"
     ),
     "gradedring": (
-        "GradedPiece Monomial RingElement Subspace graded_basis graded_dim multiply piece_product"
+        "GradedPiece Monomial RingElement graded_basis graded_dim multiply piece_product"
     ),
     "intersection": (
         "IntersectionMatrix canonical_cycle fundamental_cycle fundamental_cycle_brute"
@@ -41,11 +41,10 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names.sp
 UNREFERENCED = {
     "hj_eval": "reads arm labels back to p_i/(p_i - a_i) for the planned graph input",
     "graph_from_json": "parses the CLI's graph JSON for the planned graph input",
-    "degree_zero_canonical": "public form of the quiver command's degree-zero data",
-    "piece_product": "named by the benchmark's tracer until the harness changes",
     "coprime_criterion": "the paper's coprime criterion; the oracle tests the gcds inline",
-    "wahl_verify": "public form of the wahl command's check, which runs on the printed presentation",
 }
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("module, name", NAMES)
@@ -86,8 +85,8 @@ def test_lookup_follows_a_patched_home_module(monkeypatch):
     assert "dual_graph" not in vars(starres)
 
 
-def test_every_export_is_referenced_by_the_package():
-    # a public name only tests use is not part of the calculator: it is deleted or allowlisted
+def _package_references() -> set[str]:
+    """Every name and attribute the package's modules read, ``__init__`` aside."""
     referenced = set()
     for path in Path(starres.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -97,5 +96,25 @@ def test_every_export_is_referenced_by_the_package():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    unreferenced = set(starres.__all__) - referenced
+    return referenced
+
+
+def test_every_export_is_referenced_by_the_package():
+    # a public name only tests use is not part of the calculator: it is deleted or allowlisted
+    unreferenced = set(starres.__all__) - _package_references()
     assert unreferenced == set(UNREFERENCED)
+
+
+def test_every_traced_function_is_referenced_by_the_package():
+    # a layer the benchmark times must be code the calculator runs; the
+    # tracer's LAYERS literal is read from its source, not imported
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    )
+    referenced = _package_references()
+    dead = [f"{module}.{name}" for module, names in layers.items() for name in names
+            if name not in referenced]
+    assert not dead

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from starres import reconalg
 from starres.errors import ParameterError, PreconditionError
 from starres.gradedring import RingElement, graded_basis
 from starres.intersection import canonical_cycle, fundamental_cycle, matrix_from_graph, pair
@@ -178,22 +179,46 @@ class TestCrossConstruction:
         assert "color=red" in dot and "color=black" in dot
 
 
+class TestQuiverLimit:
+    def test_both_routes_take_the_limit_and_refuse_one_more(self, monkeypatch):
+        g = dual_graph(P355, X355)
+        labels = specials(P355, X355)
+        monkeypatch.setattr(reconalg, "_QUIVER_MAX_VERTICES", g.size)
+        assert quiver_from_intersection(g, labels) == quiver_combinatorial(P355, X355)
+        monkeypatch.setattr(reconalg, "_QUIVER_MAX_VERTICES", g.size - 1)
+        with pytest.raises(PreconditionError, match=f"{g.size} vertices"):
+            quiver_from_intersection(g, labels)
+        with pytest.raises(PreconditionError, match=f"{g.size} vertices"):
+            quiver_combinatorial(P355, X355)
+
+    def test_refused_before_any_matrix_is_built(self, monkeypatch):
+        def no_matrix(g):
+            raise AssertionError("matrix built for a graph above the limit")
+
+        params = Parameters([4001, 3])
+        g = dual_graph(params, normal_form(params, [1, 1], 0))
+        monkeypatch.setattr(reconalg, "matrix_from_graph", no_matrix)
+        with pytest.raises(PreconditionError, match="limited to 4000"):
+            quiver_from_intersection(g)
+
+
 class TestDegreeZero:
     def test_example(self):
-        desc = degree_zero_canonical(P355, X355)
+        desc = degree_zero_canonical(P355, dual_graph(P355, X355))
         assert desc.weights == (2, 3, 3)
         assert desc.points == P355.points
 
     def test_degree_one_veronese_keeps_parameters(self):
         params = Parameters([2, 3, 4])
-        desc = degree_zero_canonical(params, special_elements(params).s)
+        desc = degree_zero_canonical(params, dual_graph(params, special_elements(params).s))
         assert desc.weights == params.weights
         assert desc.points == params.points
         assert desc.relations == ("x1^2 - 1*x2^3 + x3^4",)
 
     def test_zero_arm_dropped(self):
         params = Parameters([2, 3, 4])
-        desc = degree_zero_canonical(params, normal_form(params, [1, 0, 2], 1))
+        x = normal_form(params, [1, 0, 2], 1)
+        desc = degree_zero_canonical(params, dual_graph(params, x))
         assert desc.weights == (2, 2)  # both kept arms have expansion [2]
         assert desc.points == (params.points[0], params.points[2])
 
@@ -253,6 +278,11 @@ class TestWahlVerify:
     def test_235(self):
         assert wahl_verify(Parameters([2, 3, 5]), 10).ok
 
+    @pytest.mark.parametrize("weights", [(2, 3, 3), (2, 3, 4, 5)])
+    def test_report_carries_the_presentation(self, weights):
+        params = Parameters(weights)
+        assert wahl_verify(params, 6).presentation == wahl_generators(params)
+
     @pytest.mark.parametrize("max_degree", [0, -5])
     def test_empty_degree_range_rejected(self, max_degree):
         with pytest.raises(PreconditionError):
@@ -283,7 +313,8 @@ class TestWahlVerify:
 class TestWahlIdeals:
     def test_233_table(self):
         params = Parameters([2, 3, 3])
-        ideals = dict((lab.display, ideal) for lab, ideal in wahl_special_ideals(params))
+        pres = wahl_generators(params)
+        ideals = dict((lab.display, ideal) for lab, ideal in wahl_special_ideals(pres))
         assert ideals["S(c)"] == "(v^3, u1)"
         assert ideals["S(x1)"] == "(v^4, u1)"  # arm-1 outer vertex
         assert ideals["S(x2)"] == "(u1, v)"
@@ -293,17 +324,17 @@ class TestWahlIdeals:
 
     def test_counts(self):
         params = Parameters([2, 3, 4])
-        ideals = wahl_special_ideals(params)
+        ideals = wahl_special_ideals(wahl_generators(params))
         assert len(ideals) == 1 + sum(p - 1 for p in params.weights)
 
 
 class TestWahlRelations:
     def test_canonical_relation_present(self):
-        rels = wahl_relations(Parameters([2, 3, 3]))
+        rels = wahl_relations(wahl_generators(Parameters([2, 3, 3])))
         assert "x1^2 - 1*x2^3 + x3^3" in rels.relations
 
     def test_two_cycle_count_at_center(self):
-        rels = wahl_relations(Parameters([2, 3, 3, 3]))
+        rels = wahl_relations(wahl_generators(Parameters([2, 3, 3, 3])))
         at_center = [r for r in rels.relations if r.startswith("at center")]
         assert len(at_center) == 4 - 1
 
@@ -313,10 +344,10 @@ class TestWahlRelations:
             s = special_elements(params).s
             q = quiver_combinatorial(params, s)
             total = sum(sum(row) for row in q.relations)
-            assert len(wahl_relations(params).relations) == total
+            assert len(wahl_relations(wahl_generators(params)).relations) == total
 
     def test_arrow_degrees(self):
-        rels = wahl_relations(Parameters([2, 3, 3]))
+        rels = wahl_relations(wahl_generators(Parameters([2, 3, 3])))
         for arrow in rels.arrows:
             assert arrow.z_degree == (0 if arrow.color == "black" else 1)
         # each doubled edge carries one black and one red arrow: 2-cycles
@@ -331,7 +362,8 @@ class TestWahlRelations:
         params = Parameters([2, 3, 4])
         s = special_elements(params).s
         q = quiver_combinatorial(params, s)
-        assert len(wahl_relations(params).arrows) == sum(sum(row) for row in q.arrows)
+        arrows = wahl_relations(wahl_generators(params)).arrows
+        assert len(arrows) == sum(sum(row) for row in q.arrows)
 
 
 class TestDomestic:
